@@ -50,13 +50,14 @@ class Battery:
         """Charge ``amount_mwh`` against ``operation`` (floors at empty)."""
         if amount_mwh < 0:
             raise ValueError("drain amount cannot be negative")
-        self.level_mwh = max(0.0, self.level_mwh - amount_mwh)
-        self._drain_by_op[operation] = (
-            self._drain_by_op.get(operation, 0.0) + amount_mwh
-        )
-        if self.is_low and not self._low_signalled:
-            self._low_signalled = True
-            self.on_low.emit(self.fraction)
+        level = self.level_mwh = max(0.0, self.level_mwh - amount_mwh)
+        drained = self._drain_by_op
+        drained[operation] = drained.get(operation, 0.0) + amount_mwh
+        if not self._low_signalled:
+            fraction = level / self.capacity_mwh
+            if fraction <= self.low_threshold_fraction:
+                self._low_signalled = True
+                self.on_low.emit(fraction)
 
     def recharge(self) -> None:
         """Restore to full and re-arm the low-battery signal."""

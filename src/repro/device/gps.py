@@ -11,6 +11,7 @@ wobble around ground truth.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -64,6 +65,13 @@ class Trajectory:
                     f"duplicate waypoint time {later.t_ms}"
                 )
         self._waypoints: List[Waypoint] = list(ordered)
+        self._times: List[float] = [w.t_ms for w in ordered]
+        # Leg i runs from waypoint i to waypoint i + 1.
+        self._speeds: List[float] = []
+        for earlier, later in zip(ordered, ordered[1:]):
+            distance = earlier.point.distance_to_m(later.point)
+            duration_s = (later.t_ms - earlier.t_ms) / 1000.0
+            self._speeds.append(distance / duration_s if duration_s > 0 else 0.0)
 
     @property
     def waypoints(self) -> List[Waypoint]:
@@ -78,30 +86,35 @@ class Trajectory:
         return self._waypoints[-1].t_ms
 
     def position_at(self, t_ms: float) -> GeoPoint:
-        """Ground-truth position at virtual time ``t_ms``."""
+        """Ground-truth position at virtual time ``t_ms``.
+
+        At an interior waypoint's exact instant the leg *ending* there
+        interpolates (fraction 1.0).
+        """
         pts = self._waypoints
-        if t_ms <= pts[0].t_ms:
+        times = self._times
+        if t_ms <= times[0]:
             return pts[0].point
-        if t_ms >= pts[-1].t_ms:
+        if t_ms >= times[-1]:
             return pts[-1].point
-        for earlier, later in zip(pts, pts[1:]):
-            if earlier.t_ms <= t_ms <= later.t_ms:
-                span = later.t_ms - earlier.t_ms
-                fraction = (t_ms - earlier.t_ms) / span
-                return interpolate(earlier.point, later.point, fraction)
-        raise SimulationError(f"unreachable: t={t_ms}")  # pragma: no cover
+        index = bisect_left(times, t_ms)
+        if not 0 < index < len(times):
+            raise SimulationError(f"unreachable: t={t_ms}")  # pragma: no cover
+        earlier = pts[index - 1]
+        span = times[index] - earlier.t_ms
+        fraction = (t_ms - earlier.t_ms) / span
+        return interpolate(earlier.point, pts[index].point, fraction)
 
     def speed_at(self, t_ms: float) -> float:
-        """Ground-truth speed in metres/second at ``t_ms``."""
-        pts = self._waypoints
-        if t_ms < pts[0].t_ms or t_ms >= pts[-1].t_ms:
+        """Ground-truth speed in metres/second at ``t_ms``.
+
+        At an interior waypoint's exact instant the leg *starting* there
+        gives the speed.
+        """
+        times = self._times
+        if not times[0] <= t_ms < times[-1]:
             return 0.0
-        for earlier, later in zip(pts, pts[1:]):
-            if earlier.t_ms <= t_ms < later.t_ms:
-                distance = earlier.point.distance_to_m(later.point)
-                duration_s = (later.t_ms - earlier.t_ms) / 1000.0
-                return distance / duration_s if duration_s > 0 else 0.0
-        return 0.0
+        return self._speeds[bisect_right(times, t_ms) - 1]
 
 
 class GpsReceiver:
@@ -216,25 +229,20 @@ class GpsReceiver:
                 else:  # "lost" — or stale with nothing to replay
                     self.lost_fixes += 1
                 return
-        truth = self.ground_truth()
-        noisy = GeoPoint(
-            latitude=truth.latitude
-            + self._meters_to_lat_deg(self._rng.gauss(0.0, self._accuracy_m)),
-            longitude=truth.longitude
-            + self._meters_to_lat_deg(self._rng.gauss(0.0, self._accuracy_m)),
-            altitude=truth.altitude,
-        )
+        trajectory = self._trajectory
+        if trajectory is None:
+            raise SimulationError("no trajectory configured")
         now = self._scheduler.clock.now_ms
-        fix = GpsFix(
-            point=noisy,
-            timestamp_ms=now,
-            accuracy_m=self._accuracy_m,
-            speed_mps=self._trajectory.speed_at(now) if self._trajectory else 0.0,
+        truth = trajectory.position_at(now)
+        gauss = self._rng.gauss
+        accuracy_m = self._accuracy_m
+        # 1 degree of latitude is ~111.2 km; close enough for noise
+        # injection (applied to both axes).
+        noisy = GeoPoint(
+            truth.latitude + gauss(0.0, accuracy_m) / 111_200.0,
+            truth.longitude + gauss(0.0, accuracy_m) / 111_200.0,
+            truth.altitude,
         )
+        fix = GpsFix(noisy, now, accuracy_m, trajectory.speed_at(now))
         self._last_fix = fix
         self._bus.publish(TOPIC_FIX, fix)
-
-    @staticmethod
-    def _meters_to_lat_deg(meters: float) -> float:
-        # 1 degree of latitude is ~111.2 km; close enough for noise injection.
-        return meters / 111_200.0

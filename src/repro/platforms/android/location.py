@@ -272,18 +272,20 @@ class LocationServiceState:
         self._alert_contexts.pop(id(alert), None)
 
     def _on_fix(self, topic: str, fix: GpsFix) -> None:
+        if not self._alerts:
+            return
         now = self._platform.clock.now_ms
+        latitude = fix.point.latitude
+        longitude = fix.point.longitude
         for alert in list(self._alerts):
-            if alert.expires_at_ms is not None and now >= alert.expires_at_ms:
+            expires_at_ms = alert.expires_at_ms
+            if expires_at_ms is not None and now >= expires_at_ms:
                 self._drop(alert)
                 continue
-            distance = haversine_m(
-                fix.point.latitude,
-                fix.point.longitude,
-                alert.latitude,
-                alert.longitude,
+            inside = (
+                haversine_m(latitude, longitude, alert.latitude, alert.longitude)
+                <= alert.radius_m
             )
-            inside = distance <= alert.radius_m
             if not alert.primed:
                 alert.primed = True
                 alert.inside = inside

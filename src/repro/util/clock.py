@@ -15,8 +15,8 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ClockError
 
@@ -95,21 +95,23 @@ class ChargeCapture:
         self.charge_ms = 0.0
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledTask:
     """A callback scheduled to run at a virtual instant.
 
-    Ordering is (time, sequence) so that tasks scheduled for the same
-    instant run in FIFO order — the property the platform event loops rely
-    on for deterministic broadcast delivery.
+    The scheduler's heap holds ``(when_ms, seq, task)`` entries, so tasks
+    are ordered by (time, sequence) with the comparison done on plain
+    tuples: tasks scheduled for the same instant run in FIFO order -- the
+    property the platform event loops rely on for deterministic broadcast
+    delivery.  ``when_ms`` and ``seq`` mirror the task's current entry.
     """
 
     when_ms: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    period_ms: Optional[float] = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    name: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    period_ms: Optional[float] = None
+    cancelled: bool = False
+    name: str = ""
 
     def cancel(self) -> None:
         """Prevent the task from firing (and from repeating, if periodic)."""
@@ -127,7 +129,7 @@ class Scheduler:
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock if clock is not None else SimulatedClock()
-        self._heap: List[ScheduledTask] = []
+        self._heap: List[Tuple[float, int, ScheduledTask]] = []
         self._seq = itertools.count()
 
     def call_at(
@@ -142,8 +144,9 @@ class Scheduler:
             raise ClockError(
                 f"cannot schedule task at {when_ms} before now {self.clock.now_ms}"
             )
-        task = ScheduledTask(when_ms, next(self._seq), callback, name=name)
-        heapq.heappush(self._heap, task)
+        seq = next(self._seq)
+        task = ScheduledTask(when_ms, seq, callback, name=name)
+        heapq.heappush(self._heap, (when_ms, seq, task))
         return task
 
     def call_later(
@@ -181,22 +184,14 @@ class Scheduler:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled tasks in the queue."""
-        return sum(1 for t in self._heap if not t.cancelled)
+        return sum(1 for _, _, task in self._heap if not task.cancelled)
 
     def next_deadline_ms(self) -> Optional[float]:
         """Virtual time of the earliest pending task, or ``None``."""
-        self._drop_cancelled_head()
-        return self._heap[0].when_ms if self._heap else None
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def _pop_due(self, until_ms: float) -> Optional[ScheduledTask]:
-        self._drop_cancelled_head()
-        if self._heap and self._heap[0].when_ms <= until_ms:
-            return heapq.heappop(self._heap)
-        return None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def run_until(self, until_ms: float) -> int:
         """Run all tasks due up to (and including) ``until_ms``.
@@ -205,26 +200,39 @@ class Scheduler:
         ``until_ms``.  Returns the number of callbacks executed.  Callbacks
         may schedule further tasks; those run too if they fall in range.
         """
-        if until_ms < self.clock.now_ms:
+        clock = self.clock
+        if until_ms < clock.now_ms:
             raise ClockError(
-                f"cannot run until {until_ms}, now is {self.clock.now_ms}"
+                f"cannot run until {until_ms}, now is {clock.now_ms}"
             )
+        heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        seqs = self._seq
         executed = 0
-        while True:
-            task = self._pop_due(until_ms)
-            if task is None:
+        while heap:
+            when_ms, _, task = heap[0]
+            if task.cancelled:
+                heappop(heap)
+                continue
+            if when_ms > until_ms:
                 break
-            self.clock.advance_to(max(task.when_ms, self.clock.now_ms))
-            if task.period_ms is not None and not task.cancelled:
+            heappop(heap)
+            # The clock only moves forward: a callback may already have
+            # charged it past this task's instant.
+            if when_ms >= clock._now_ms:
+                clock._now_ms = float(when_ms)
+            period_ms = task.period_ms
+            if period_ms is not None:
                 # Re-arm before running so the callback can cancel itself.
-                task.when_ms = task.when_ms + task.period_ms
-                task.seq = next(self._seq)
-                heapq.heappush(self._heap, task)
+                when_ms = task.when_ms = when_ms + period_ms
+                seq = task.seq = next(seqs)
+                heappush(heap, (when_ms, seq, task))
             task.callback()
             executed += 1
         # Callbacks may advance the clock themselves (e.g. synchronous
         # native-latency charges); never move it backwards.
-        self.clock.advance_to(max(until_ms, self.clock.now_ms))
+        clock.advance_to(max(until_ms, clock.now_ms))
         return executed
 
     def run_for(self, delta_ms: float) -> int:

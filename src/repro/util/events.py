@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, List
+from typing import Any, Callable, Dict, List, Tuple
 
 Handler = Callable[[str, Any], None]
+
+#: How many of the most recent published topics a bus remembers for
+#: :attr:`EventBus.published_topics`.
+PUBLISH_LOG_SIZE = 1024
 
 
 @dataclass
@@ -44,26 +49,45 @@ class EventBus:
     def __init__(self) -> None:
         self._subs: List[Subscription] = []
         self._tokens = itertools.count(1)
-        self._delivery_log: List[str] = []
+        #: topic -> matching subscriptions in subscription order; cleared
+        #: whenever the subscription set changes.
+        self._routes: Dict[str, Tuple[Subscription, ...]] = {}
+        self._delivery_log: deque = deque(maxlen=PUBLISH_LOG_SIZE)
 
     def subscribe(self, topic_pattern: str, handler: Handler) -> Subscription:
         """Register ``handler`` for every topic matching ``topic_pattern``."""
         sub = Subscription(self, topic_pattern, handler, token=next(self._tokens))
         self._subs.append(sub)
+        self._routes.clear()
         return sub
 
     def _remove(self, sub: Subscription) -> None:
         self._subs = [s for s in self._subs if s.token != sub.token]
+        self._routes.clear()
+
+    def _route(self, topic: str) -> Tuple[Subscription, ...]:
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = tuple(
+                sub
+                for sub in self._subs
+                if fnmatch.fnmatchcase(topic, sub.topic_pattern)
+            )
+        return route
 
     def publish(self, topic: str, payload: Any = None) -> int:
         """Deliver ``payload`` to all matching subscribers, in order.
 
-        Returns the number of handlers invoked.  Handlers that subscribe or
-        unsubscribe during delivery affect only subsequent publishes.
+        Returns the number of handlers invoked.  Handlers that subscribe
+        during delivery affect only subsequent publishes; a handler
+        unsubscribed during delivery is skipped if it has not run yet.
         """
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._route(topic)
         delivered = 0
-        for sub in list(self._subs):
-            if sub.active and fnmatch.fnmatchcase(topic, sub.topic_pattern):
+        for sub in route:
+            if sub.active:
                 sub.handler(topic, payload)
                 delivered += 1
         self._delivery_log.append(topic)
@@ -71,15 +95,12 @@ class EventBus:
 
     def subscriber_count(self, topic: str) -> int:
         """Number of active subscribers that would receive ``topic``."""
-        return sum(
-            1
-            for sub in self._subs
-            if sub.active and fnmatch.fnmatchcase(topic, sub.topic_pattern)
-        )
+        return sum(1 for sub in self._route(topic) if sub.active)
 
     @property
     def published_topics(self) -> List[str]:
-        """Chronological log of every published topic (test/debug aid)."""
+        """Recent topics, oldest first: the last :data:`PUBLISH_LOG_SIZE`
+        publishes (test/debug aid)."""
         return list(self._delivery_log)
 
     def clear_log(self) -> None:

@@ -1,10 +1,11 @@
 """Tests for the GPS receiver and trajectory playback."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.device.gps import GpsReceiver, Trajectory, Waypoint, TOPIC_FIX, TOPIC_STATE
 from repro.errors import ConfigurationError, SimulationError
-from repro.util.geo import GeoPoint, destination_point
+from repro.util.geo import GeoPoint, destination_point, interpolate
 
 
 def _line_trajectory():
@@ -55,6 +56,82 @@ class TestTrajectory:
         trajectory = Trajectory([Waypoint(0.0, GeoPoint(5.0, 5.0))])
         assert trajectory.position_at(1_000.0) == GeoPoint(5.0, 5.0)
         assert trajectory.speed_at(500.0) == 0.0
+
+
+def _scan_position(waypoints, t_ms):
+    """Reference: the first leg whose closed interval holds ``t_ms``."""
+    if t_ms <= waypoints[0].t_ms:
+        return waypoints[0].point
+    if t_ms >= waypoints[-1].t_ms:
+        return waypoints[-1].point
+    for earlier, later in zip(waypoints, waypoints[1:]):
+        if earlier.t_ms <= t_ms <= later.t_ms:
+            fraction = (t_ms - earlier.t_ms) / (later.t_ms - earlier.t_ms)
+            return interpolate(earlier.point, later.point, fraction)
+    raise AssertionError("no leg found")
+
+
+def _scan_speed(waypoints, t_ms):
+    """Reference: the first leg whose half-open interval holds ``t_ms``,
+    with one haversine per query."""
+    if t_ms < waypoints[0].t_ms or t_ms >= waypoints[-1].t_ms:
+        return 0.0
+    for earlier, later in zip(waypoints, waypoints[1:]):
+        if earlier.t_ms <= t_ms < later.t_ms:
+            distance = earlier.point.distance_to_m(later.point)
+            duration_s = (later.t_ms - earlier.t_ms) / 1000.0
+            return distance / duration_s if duration_s > 0 else 0.0
+    return 0.0
+
+
+_points = st.builds(
+    GeoPoint,
+    st.floats(min_value=-89.0, max_value=89.0),
+    st.floats(min_value=-179.0, max_value=179.0),
+    st.floats(min_value=-100.0, max_value=5_000.0),
+)
+
+
+@st.composite
+def _paths(draw):
+    times = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+            min_size=1, max_size=20, unique=True,
+        )
+    )
+    waypoints = [Waypoint(t, draw(_points)) for t in times]
+    queries = [min(times) - 1.0, min(times) - 500.0, max(times) + 1.0, 2e7]
+    queries += times  # every exact waypoint instant
+    queries += draw(st.lists(st.floats(min_value=-1e3, max_value=1.1e7), max_size=20))
+    ordered = sorted(times)
+    queries += [(a + b) / 2.0 for a, b in zip(ordered, ordered[1:])]
+    return waypoints, queries
+
+
+class TestTrajectoryIndex:
+    """Bisection picks exactly the leg the linear scan does."""
+
+    @given(_paths())
+    def test_matches_linear_scan_exactly(self, path):
+        waypoints, queries = path
+        trajectory = Trajectory(waypoints)
+        ordered = trajectory.waypoints
+        for t_ms in queries:
+            assert trajectory.position_at(t_ms) == _scan_position(ordered, t_ms)
+            assert trajectory.speed_at(t_ms) == _scan_speed(ordered, t_ms)
+
+    def test_interior_waypoint_uses_leg_ending_there_for_position(self):
+        # Chosen so that interpolating to fraction 1.0 does not land
+        # exactly on ``b``: the leg choice shows in the low bits.
+        a = GeoPoint(-75.92866224104627, 14.080240749788828)
+        b = GeoPoint(70.2638660445617, -40.39055918600778, 21.659939713061338)
+        c = GeoPoint(70.3, -40.3)
+        waypoints = [Waypoint(0.0, a), Waypoint(3_000.0, b), Waypoint(7_000.0, c)]
+        trajectory = Trajectory(waypoints)
+        assert interpolate(a, b, 1.0) != b
+        assert trajectory.position_at(3_000.0) == interpolate(a, b, 1.0)
+        assert trajectory.speed_at(3_000.0) == b.distance_to_m(c) / 4.0
 
 
 class TestGpsReceiver:

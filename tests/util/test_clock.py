@@ -179,3 +179,46 @@ class TestScheduler:
         scheduler.run_until(max(delays) + 1.0)
         assert fire_times == sorted(fire_times)
         assert len(fire_times) == len(delays)
+
+    def test_fifo_at_one_instant_across_rearms_and_one_shots(self, scheduler):
+        # A periodic task re-arms (taking a fresh sequence number) before
+        # its callback runs, so at t=20 it queues behind the one-shot
+        # scheduled at t=0 and ahead of the one-shot its callback adds.
+        order = []
+
+        def periodic_a():
+            order.append(("a", scheduler.clock.now_ms))
+            if scheduler.clock.now_ms == 10.0:
+                scheduler.call_at(20.0, lambda: order.append(("y", scheduler.clock.now_ms)))
+
+        scheduler.call_every(10.0, periodic_a)
+        scheduler.call_at(20.0, lambda: order.append(("x", scheduler.clock.now_ms)))
+        scheduler.call_every(10.0, lambda: order.append(("b", scheduler.clock.now_ms)))
+        scheduler.run_until(20.0)
+        assert order == [
+            ("a", 10.0), ("b", 10.0),
+            ("x", 20.0), ("a", 20.0), ("y", 20.0), ("b", 20.0),
+        ]
+
+    def test_periodic_task_cancelling_itself_in_callback(self, scheduler):
+        fired = []
+        handle = {}
+
+        def once():
+            fired.append(scheduler.clock.now_ms)
+            handle["task"].cancel()
+
+        handle["task"] = scheduler.call_every(10.0, once)
+        assert scheduler.run_for(100.0) == 1
+        assert fired == [10.0]
+        assert scheduler.pending_count() == 0
+        assert scheduler.next_deadline_ms() is None
+
+    def test_integer_instant_leaves_clock_a_float(self, scheduler):
+        seen = []
+        scheduler.call_at(5, lambda: seen.append(scheduler.clock.now_ms))
+        scheduler.call_every(7, lambda: seen.append(scheduler.clock.now_ms), initial_delay_ms=2)
+        scheduler.run_until(10)
+        assert seen == [2.0, 5.0, 9.0]
+        assert all(type(now) is float for now in seen)
+        assert type(scheduler.clock.now_ms) is float

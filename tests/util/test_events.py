@@ -1,6 +1,6 @@
 """Tests for the event bus and typed signals."""
 
-from repro.util.events import EventBus, TypedSignal
+from repro.util.events import PUBLISH_LOG_SIZE, EventBus, TypedSignal
 
 
 class TestEventBus:
@@ -70,6 +70,70 @@ class TestEventBus:
         assert bus.published_topics == ["a", "b"]
         bus.clear_log()
         assert bus.published_topics == []
+
+
+    def test_published_topics_keeps_only_recent(self, bus):
+        for index in range(PUBLISH_LOG_SIZE + 5):
+            bus.publish(f"t{index}")
+        topics = bus.published_topics
+        assert len(topics) == PUBLISH_LOG_SIZE
+        assert topics[0] == "t5"
+        assert topics[-1] == f"t{PUBLISH_LOG_SIZE + 4}"
+
+    def test_mixed_exact_and_glob_deliver_in_subscription_order(self, bus):
+        order = []
+        for name, pattern in (
+            ("glob", "gps.*"), ("exact", "gps.fix"), ("other", "radio.*"),
+            ("star", "*"), ("single", "gps.fi?"), ("exact2", "gps.fix"),
+        ):
+            bus.subscribe(pattern, lambda t, p, name=name: order.append(name))
+        assert bus.publish("gps.fix") == 5
+        assert order == ["glob", "exact", "star", "single", "exact2"]
+        order.clear()
+        bus.publish("gps.fix")  # second publish takes the cached route
+        assert order == ["glob", "exact", "star", "single", "exact2"]
+
+    def test_subscribe_during_delivery_with_warm_route(self, bus):
+        received = []
+
+        def handler(topic, payload):
+            received.append(("outer", payload))
+            if payload == 2:
+                bus.subscribe("t*", lambda t, p: received.append(("inner", p)))
+
+        bus.subscribe("t", handler)
+        bus.publish("t", 1)  # warms the route for "t"
+        bus.publish("t", 2)
+        assert received == [("outer", 1), ("outer", 2)]
+        bus.publish("t", 3)
+        assert received[2:] == [("outer", 3), ("inner", 3)]
+
+    def test_unsubscribe_later_handler_during_delivery(self, bus):
+        received = []
+        subs = {}
+
+        def first(topic, payload):
+            received.append(("first", payload))
+            subs["second"].unsubscribe()
+
+        bus.subscribe("t", first)
+        subs["second"] = bus.subscribe("t", lambda t, p: received.append(("second", p)))
+        bus.subscribe("t*", lambda t, p: received.append(("third", p)))
+        assert bus.publish("t", 1) == 2
+        assert received == [("first", 1), ("third", 1)]
+
+    def test_route_cache_invalidated_by_subscribe_and_unsubscribe(self, bus):
+        received = []
+        assert bus.publish("gps.fix", 0) == 0  # caches an empty route
+        sub = bus.subscribe("gps.*", lambda t, p: received.append(p))
+        assert bus.subscriber_count("gps.fix") == 1
+        assert bus.publish("gps.fix", 1) == 1
+        sub.unsubscribe()
+        assert bus.subscriber_count("gps.fix") == 0
+        assert bus.publish("gps.fix", 2) == 0
+        bus.subscribe("gps.fix", lambda t, p: received.append(-p))
+        assert bus.publish("gps.fix", 3) == 1
+        assert received == [1, -3]
 
 
 class TestTypedSignal:
