@@ -19,21 +19,11 @@ JSONL trace through identical logic, which is what the
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline.config import PipelineConfig, op_class
-from repro.obs.pipeline.records import (
-    SpanLike,
-    span_attributes,
-    span_duration_ms,
-    span_name,
-    span_parent_id,
-    span_record,
-    span_status,
-    span_trace_id,
-)
+from repro.obs.pipeline.records import SpanLike, span_record
 from repro.obs.pipeline.retention import SpanRetention
 from repro.obs.pipeline.rollup import UNKNOWN, RedRollups, RollupKey
 from repro.obs.pipeline.sampler import RULE_SLOW, TailRules, anomaly_rules, head_keep
@@ -42,14 +32,6 @@ PIPELINE_SCHEMA = "repro.obs.pipeline/v1"
 
 #: ``(source, spans)`` callback fired for every completed trace.
 TraceObserver = Callable[[Optional[str], List[SpanLike]], None]
-
-
-class TraceDecision(NamedTuple):
-    """The sampling outcome for one completed trace."""
-
-    kept: bool
-    head: bool
-    rules: Tuple[str, ...]
 
 
 def trace_ref(source: Optional[str], trace_id: int) -> str:
@@ -78,8 +60,6 @@ class TelemetryPipeline:
         )
         self.retention = SpanRetention(self.config.span_capacity)
         self.tail = TailRules(min_count=self.config.slow_trace_min_count)
-        #: Open traces: (source, trace_id) -> spans seen so far.
-        self._buffers: Dict[Tuple[Optional[str], int], List[SpanLike]] = {}
         self._observers: List[TraceObserver] = []
         # Eager counters so accounting reads zero instead of absent.
         counter = self.metrics.counter
@@ -96,7 +76,7 @@ class TelemetryPipeline:
     # -- ingestion -----------------------------------------------------------
 
     def attach(self, tracer, *, source: Optional[str] = None) -> None:
-        """Subscribe to a tracer's finished spans.
+        """Subscribe to a tracer's completed traces.
 
         With ``config.streaming`` the tracer is flipped out of retention:
         this ring becomes the only span storage and tracer memory stays
@@ -104,31 +84,16 @@ class TelemetryPipeline:
         """
         if not getattr(tracer, "enabled", False):
             return
-        tracer.add_sink(functools.partial(self.record_span, source=source))
+        tracer.add_trace_sink(lambda trace: self.record_span(trace, source=source))
         if self.config.streaming:
             tracer.set_retention(False)
 
-    def record_span(self, span: SpanLike, *, source: Optional[str] = None) -> None:
-        """The live sink: buffer until the trace's root finishes.
-
-        Sinks fire in completion order, so the root (``parent_id is
-        None``) is always the last span of its trace to arrive.  This is
-        the per-span hot path, hence the inlined shape branch.
-        """
-        if isinstance(span, dict):
-            trace_id = span["trace_id"]
-            parent_id = span.get("parent_id")
-        else:
-            trace_id = span.trace_id
-            parent_id = span.parent_id
-        key = (source, trace_id)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = self._buffers[key] = []
-        buffer.append(span)
-        if parent_id is None:
-            del self._buffers[key]
-            self._complete(source, trace_id, buffer)
+    def record_span(
+        self, trace: Sequence[SpanLike], *, source: Optional[str] = None
+    ) -> None:
+        """The live sink: one completed trace from a tracer, its spans in
+        completion order (the root last)."""
+        self._complete(source, trace)
 
     def ingest_records(self, records: Iterable[Dict[str, Any]]) -> int:
         """Offline replay of exported span records (JSONL order: start
@@ -140,8 +105,8 @@ class TelemetryPipeline:
         for record in records:
             key = (record.get("source"), record["trace_id"])
             groups.setdefault(key, []).append(record)
-        for (source, trace_id), spans in groups.items():
-            self._complete(source, trace_id, spans)
+        for (source, _), spans in groups.items():
+            self._complete(source, spans)
         return len(groups)
 
     def add_observer(self, observer: TraceObserver) -> None:
@@ -151,39 +116,42 @@ class TelemetryPipeline:
 
     # -- the decision path ---------------------------------------------------
 
-    def _complete(
-        self,
-        source: Optional[str],
-        trace_id: int,
-        spans: List[SpanLike],
-    ) -> TraceDecision:
-        root = next(
-            (span for span in spans if span_parent_id(span) is None), spans[0]
-        )
-        op = op_class(span_name(root))
-        duration = span_duration_ms(root)
-        error = span_status(root) != "ok"
-        attributes = span_attributes(root)
-        start = (
-            (root.get("start_virtual_ms") or 0.0)
-            if isinstance(root, dict)
-            else root.start_virtual_ms
-        )
+    def _complete(self, source: Optional[str], spans: Sequence[SpanLike]) -> None:
+        root = spans[-1]
+        if isinstance(root, dict):
+            root = next(
+                (span for span in spans if span.get("parent_id") is None), spans[0]
+            )
+            trace_id = root["trace_id"]
+            name = root["name"]
+            start = root.get("start_virtual_ms") or 0.0
+            stop = root.get("end_virtual_ms")
+            duration = (stop - start) if stop is not None else 0.0
+            error = root.get("status", "ok") != "ok"
+            attributes = root.get("attributes") or {}
+        else:
+            # Live traces arrive in completion order: the root is last.
+            trace_id = root.trace_id
+            name = root.name
+            start = root.start_virtual_ms
+            duration = root.duration_virtual_ms
+            error = root.status != "ok"
+            attributes = root.attributes
+        op = op_class(name)
 
         rules = anomaly_rules(spans)
-        if self.tail.is_slow(op, duration):
+        if self.tail.observe(op, duration):
             rules.append(RULE_SLOW)
-        self.tail.observe(op, duration)
 
         head = head_keep(self.config.seed, source, trace_id, self.config.rate_for(op))
         kept = head or bool(rules)
 
-        self._c_spans.inc(len(spans))
-        self._c_traces.inc()
+        self._c_spans.value += len(spans)
+        self._c_traces.value += 1
         if rules:
-            self._c_anomalous.inc()
+            self._c_anomalous.value += 1
         if head:
-            self._c_head_kept.inc()
+            self._c_head_kept.value += 1
 
         rollup_key: RollupKey = (
             op,
@@ -204,9 +172,9 @@ class TelemetryPipeline:
             observer(source, spans)
 
         if kept:
-            self._c_kept.inc()
+            self._c_kept.value += 1
             if rules:
-                self._c_anomalous_kept.inc()
+                self._c_anomalous_kept.value += 1
                 for rule in rules:
                     self.metrics.counter("obs.tail_kept", rule=rule).inc()
             before = self.retention.dropped
@@ -215,18 +183,19 @@ class TelemetryPipeline:
             )
             evicted = self.retention.dropped - before
             if evicted:
-                self._c_dropped.inc(evicted)
+                self._c_dropped.value += evicted
         else:
-            self._c_traces_out.inc()
-            self._c_sampled_out.inc(len(spans))
-        return TraceDecision(kept, head, tuple(rules))
+            self._c_traces_out.value += 1
+            self._c_sampled_out.value += len(spans)
 
     # -- reading -------------------------------------------------------------
 
     @property
     def open_traces(self) -> int:
-        """Traces buffered but not yet completed (root still open)."""
-        return len(self._buffers)
+        """Traces buffered but not yet completed: always 0, since tracers
+        hand each trace over whole when its root closes (kept as an
+        accounting field for schema stability)."""
+        return 0
 
     @property
     def dropped_spans(self) -> int:

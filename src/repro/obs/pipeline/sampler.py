@@ -15,6 +15,7 @@ tail-rule misses at 1% head sampling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Dict, List, Optional, Sequence
 
@@ -37,20 +38,28 @@ RULE_ERROR = "error"
 RULE_SLOW = "slow.p99"
 
 
+@functools.lru_cache(maxsize=1024)
+def _seeded_prefix(seed: int, source: str):
+    """SHA-256 state after hashing ``seed:source:`` (copied, never
+    updated in place, so the cached state is reusable)."""
+    return hashlib.sha256(f"{seed}:{source}:".encode("utf-8"))
+
+
 def head_keep(seed: int, source: Optional[str], trace_id: int, rate: float) -> bool:
     """The deterministic keep/drop decision for one trace.
 
     Hashes ``seed:source:trace_id`` (SHA-256, first 8 bytes as a uniform
     draw in ``[0, 1)``) and keeps the trace when the draw lands under
-    ``rate``.  Pure: no state, no clock, no randomness.
+    ``rate``.  Pure: no clock, no randomness; the hash state of the
+    ``seed:source:`` prefix is cached, which leaves the digest unchanged.
     """
     if rate >= 1.0:
         return True
     if rate <= 0.0:
         return False
-    key = f"{seed}:{source or ''}:{trace_id}".encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    draw = int.from_bytes(digest[:8], "big") / 2.0**64
+    hasher = _seeded_prefix(seed, source or "").copy()
+    hasher.update(f"{trace_id}".encode("utf-8"))
+    draw = int.from_bytes(hasher.digest()[:8], "big") / 2.0**64
     return draw < rate
 
 
@@ -124,11 +133,21 @@ class TailRules:
             return False
         return duration_ms > estimator.value
 
-    def observe(self, op: str, duration_ms: float) -> None:
+    def observe(self, op: str, duration_ms: float) -> bool:
+        """Stream one root duration; returns :meth:`is_slow`'s verdict
+        as it stood *before* this observation (check-then-observe in one
+        lookup)."""
         estimator = self._p99.get(op)
         if estimator is None:
             estimator = self._p99[op] = P2Quantile(0.99)
+            slow = False
+        else:
+            slow = (
+                estimator.count >= self.min_count
+                and duration_ms > estimator.value
+            )
         estimator.observe(duration_ms)
+        return slow
 
     def threshold(self, op: str) -> Optional[float]:
         """The current p99 estimate for an op class (``None`` before the

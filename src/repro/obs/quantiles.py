@@ -57,59 +57,81 @@ class P2Quantile:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.count += 1
-        if self.count <= 5:
+        count = self.count = self.count + 1
+        if count <= 5:
             self._initial.append(value)
-            if self.count == 5:
+            if count == 5:
                 self._heights = sorted(self._initial)
                 self._positions = [0, 1, 2, 3, 4]
                 q = self.q
                 self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
             return
 
+        # The arithmetic below is frozen: every stored value comes from
+        # the same float operations in the same order as the textbook
+        # parabolic/linear formulas, so estimates stay bit-identical.
         h, n, ns = self._heights, self._positions, self._desired
         # Locate the cell the new observation falls into, stretching the
-        # extreme markers when it lands outside them.
+        # extreme markers when it lands outside them; every marker above
+        # the cell moves up one position.
         if value < h[0]:
             h[0] = value
-            cell = 0
+            n[1] += 1
+            n[2] += 1
+            n[3] += 1
         elif value >= h[4]:
             h[4] = value
-            cell = 3
+        elif value >= h[3]:
+            pass
+        elif value >= h[2]:
+            n[3] += 1
+        elif value >= h[1]:
+            n[2] += 1
+            n[3] += 1
         else:
-            cell = 0
-            for i in range(3, 0, -1):
-                if value >= h[i]:
-                    cell = i
-                    break
-        for i in range(cell + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            ns[i] += self._dn[i]
+            n[1] += 1
+            n[2] += 1
+            n[3] += 1
+        n[4] += 1
+        dn = self._dn
+        ns[1] += dn[1]
+        ns[2] += dn[2]
+        ns[3] += dn[3]
+        ns[4] += 1.0
         # Nudge the three interior markers toward their desired positions.
         for i in (1, 2, 3):
-            drift = ns[i] - n[i]
-            if (drift >= 1.0 and n[i + 1] - n[i] > 1) or (
-                drift <= -1.0 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if drift > 0 else -1
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
+            ni = n[i]
+            drift = ns[i] - ni
+            if drift >= 1.0:
+                if n[i + 1] - ni <= 1:
+                    continue
+                step = 1
+            elif drift <= -1.0:
+                if n[i - 1] - ni >= -1:
+                    continue
+                step = -1
+            else:
+                continue
+            n[i] = ni + step
+            hi = h[i]
+            below = h[i - 1]
+            above = h[i + 1]
+            n_below = n[i - 1]
+            n_above = n[i + 1]
+            # The parabolic prediction is only kept strictly between the
+            # neighbours, so it is not evaluated when they are tied.
+            if below < above:
+                candidate = hi + step / (n_above - n_below) * (
+                    (ni - n_below + step) * (above - hi) / (n_above - ni)
+                    + (n_above - ni - step) * (hi - below) / (ni - n_below)
+                )
+                if below < candidate < above:
                     h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
+                    continue
+            if step == 1:
+                h[i] = hi + step * (above - hi) / (n_above - ni)
+            else:
+                h[i] = hi + step * (below - hi) / (n_below - ni)
 
     # -- reading -------------------------------------------------------------
 

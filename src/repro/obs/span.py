@@ -17,32 +17,56 @@ byte-comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Span status values.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
+#: Exact types stored as-is without further checks (the common case).
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _clean_value(value: Any) -> Any:
+    """Scalars (subclasses such as ``IntEnum`` included) pass through
+    unchanged; anything else is stored as its ``repr``."""
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    return repr(value)
+
 
 def _clean_attributes(attributes: Dict[str, Any]) -> Dict[str, Any]:
-    """Attributes must be JSON-representable scalars (exporters rely on it)."""
-    cleaned: Dict[str, Any] = {}
+    """Attributes must be JSON-representable scalars (exporters rely on it).
+
+    Returns a new dict in the input's key order.
+    """
+    cleaned = dict(attributes)
     for key, value in attributes.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            cleaned[key] = value
-        else:
-            cleaned[key] = repr(value)
+        if type(value) not in _PLAIN_SCALARS:
+            cleaned[key] = _clean_value(value)
     return cleaned
 
 
-@dataclass
 class SpanEvent:
     """A point-in-time annotation inside a span (virtual-clock stamped)."""
 
-    name: str
-    t_virtual_ms: float
-    attributes: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "t_virtual_ms", "attributes")
+
+    def __init__(
+        self,
+        name: str,
+        t_virtual_ms: float,
+        attributes: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.name = name
+        self.t_virtual_ms = t_virtual_ms
+        self.attributes = {} if attributes is None else attributes
+
+    def __repr__(self) -> str:
+        return (
+            f"SpanEvent(name={self.name!r}, t_virtual_ms={self.t_virtual_ms!r}, "
+            f"attributes={self.attributes!r})"
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -52,27 +76,54 @@ class SpanEvent:
         }
 
 
-@dataclass
 class Span:
     """One node of a trace tree."""
 
-    name: str
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int]
-    start_virtual_ms: float
-    start_real_ms: float
-    end_virtual_ms: Optional[float] = None
-    end_real_ms: Optional[float] = None
-    status: str = STATUS_OK
-    error: Optional[str] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
+    __slots__ = (
+        "name", "trace_id", "span_id", "parent_id", "start_virtual_ms",
+        "start_real_ms", "end_virtual_ms", "end_real_ms", "status", "error",
+        "attributes", "events",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        trace_id: int,
+        span_id: int,
+        parent_id: Optional[int],
+        start_virtual_ms: float,
+        start_real_ms: float,
+        end_virtual_ms: Optional[float] = None,
+        end_real_ms: Optional[float] = None,
+        status: str = STATUS_OK,
+        error: Optional[str] = None,
+        attributes: Optional[Dict[str, Any]] = None,
+        events: Optional[List[SpanEvent]] = None,
+    ) -> None:
+        self.name = name
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start_virtual_ms = start_virtual_ms
+        self.start_real_ms = start_real_ms
+        self.end_virtual_ms = end_virtual_ms
+        self.end_real_ms = end_real_ms
+        self.status = status
+        self.error = error
+        self.attributes = {} if attributes is None else attributes
+        self.events = [] if events is None else events
+
+    def __repr__(self) -> str:
+        return (
+            f"Span(name={self.name!r}, trace_id={self.trace_id!r}, "
+            f"span_id={self.span_id!r}, parent_id={self.parent_id!r}, "
+            f"status={self.status!r})"
+        )
 
     # -- recording -----------------------------------------------------------
 
     def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes.update(_clean_attributes({key: value}))
+        self.attributes[key] = _clean_value(value)
 
     def add_event(self, name: str, t_virtual_ms: float, **attributes: Any) -> SpanEvent:
         event = SpanEvent(name, t_virtual_ms, _clean_attributes(attributes))

@@ -22,9 +22,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
-from typing import Any, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.obs.span import Span
+from repro.obs.span import Span, _clean_attributes
 from repro.util.clock import SimulatedClock
 
 
@@ -60,6 +60,9 @@ class NoopTracer:
     def add_sink(self, sink) -> None:
         pass
 
+    def add_trace_sink(self, sink) -> None:
+        pass
+
     retaining = False
 
     def set_retention(self, retain: bool) -> None:
@@ -78,6 +81,31 @@ class NoopTracer:
 
 #: Shared no-op instance (stateless, safe to share across devices).
 NOOP_TRACER = NoopTracer()
+
+
+class _SpanScope:
+    """The ``with tracer.span(...)`` scope: opens through
+    :meth:`Tracer.start_span` on entry and closes through
+    :meth:`Tracer.end_span` on exit, marking an escaping exception on the
+    span before it propagates."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        span = self._span = self._tracer.start_span(self._name, **self._attributes)
+        return span
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        span = self._span
+        if exc_type is not None:
+            span.mark_error(exc)
+        self._tracer.end_span(span)
+        return False
 
 
 class Tracer:
@@ -109,7 +137,13 @@ class Tracer:
         self._stack: List[Span] = []
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._sinks: List[Any] = []
+        self._sinks: List[Callable[[Span], None]] = []
+        self._trace_sinks: List[Callable[[List[Span]], None]] = []
+        #: Finished spans of the open trace in completion order, collected
+        #: only while trace sinks are registered.
+        self._trace: List[Span] = []
+        #: Index in ``_spans`` of the open trace's root.
+        self._trace_start = 0
         #: Streaming mode (``retain=False``): spans flow to sinks and are
         #: discarded once their trace completes — the telemetry pipeline's
         #: bounded ring becomes the only retention, keeping the tracer
@@ -145,27 +179,39 @@ class Tracer:
     def start_span(self, name: str, **attributes: Any) -> Span:
         """Open a span as a child of the current span (manual lifecycle;
         prefer the :meth:`span` context manager)."""
-        parent = self.current_span
+        stack = self._stack
+        if stack:
+            parent = stack[-1]
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+        else:
+            trace_id = next(self._trace_ids)
+            parent_id = None
+            self._trace_start = len(self._spans)
+        clock = self._clock
         span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent is not None else next(self._trace_ids),
-            span_id=next(self._span_ids),
-            parent_id=parent.span_id if parent is not None else None,
-            start_virtual_ms=self._virtual_now(),
-            start_real_ms=self._real_now(),
+            name,
+            trace_id,
+            next(self._span_ids),
+            parent_id,
+            clock.now_ms if clock is not None else 0.0,
+            _real_now_ms() if self._capture_real_time else 0.0,
+            attributes=_clean_attributes(attributes) if attributes else None,
         )
-        for key, value in attributes.items():
-            span.set_attribute(key, value)
         self._spans.append(span)
-        self._stack.append(span)
+        stack.append(span)
         self._spans_cache = None
-        if parent is not None:
-            self._children.setdefault(parent.span_id, []).append(span)
+        if parent_id is not None:
+            children = self._children.get(parent_id)
+            if children is None:
+                self._children[parent_id] = [span]
+            else:
+                children.append(span)
         else:
             self._roots.append(span)
         return span
 
-    def add_sink(self, sink) -> None:
+    def add_sink(self, sink: Callable[[Span], None]) -> None:
         """Register a callable invoked with every span as it finishes.
 
         Sinks are how the flight recorder shadows the tracer without the
@@ -174,45 +220,77 @@ class Tracer:
         """
         self._sinks.append(sink)
 
+    def add_trace_sink(self, sink: Callable[[List[Span]], None]) -> None:
+        """Register a callable invoked once per completed trace with its
+        finished spans in completion order (the root last).
+
+        When a root closes, the per-span sinks see it first, then every
+        trace sink in registration order.  A sink added while a trace is
+        open receives only the spans that finish after it was added.
+        """
+        self._trace_sinks.append(sink)
+
     def end_span(self, span: Span) -> None:
-        """Close ``span`` (and anything left open beneath it)."""
-        while self._stack:
-            top = self._stack.pop()
-            top.end_virtual_ms = self._virtual_now()
-            top.end_real_ms = self._real_now()
+        """Close ``span`` (and anything left open beneath it).
+
+        Raises ``ValueError`` without touching any span when ``span`` is
+        not open on this tracer.
+        """
+        stack = self._stack
+        if not stack or stack[-1] is not span:
+            if not any(open_span is span for open_span in stack):
+                raise ValueError(f"span {span.name!r} is not open on this tracer")
+        sinks = self._sinks
+        collect = bool(self._trace_sinks)
+        while True:
+            top = stack.pop()
+            clock = self._clock
+            top.end_virtual_ms = clock.now_ms if clock is not None else 0.0
+            top.end_real_ms = _real_now_ms() if self._capture_real_time else 0.0
             self._finished_cache = None
-            if self._sinks:
-                for sink in self._sinks:
+            if sinks:
+                for sink in sinks:
                     sink(top)
-            if top.parent_id is None and not self._retain:
-                # Streaming mode: the trace just completed and every sink
-                # has seen it — drop the whole tree (traces never
-                # interleave on the single span stack, so everything
-                # recorded since the root opened belongs to it).
-                self._spans.clear()
-                self._children.clear()
-                self._roots.clear()
-                self._spans_cache = None
-                self._finished_cache = None
+            if collect:
+                self._trace.append(top)
+            if top.parent_id is None:
+                self._complete_trace()
             if top is span:
                 return
-        raise ValueError(f"span {span.name!r} is not open on this tracer")
 
-    @contextlib.contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def _complete_trace(self) -> None:
+        """The open trace's root just closed: hand the trace to the trace
+        sinks, then, when streaming, drop its spans."""
+        # Traces never interleave on the single span stack, so the trace
+        # is everything recorded since its root opened (read before the
+        # sinks run: a sink may record a trace of its own).
+        start = self._trace_start
+        if self._trace_sinks:
+            trace, self._trace = self._trace, []
+            for sink in self._trace_sinks:
+                sink(trace)
+        if self._retain:
+            return
+        # Spans retained before streaming was switched on stay readable.
+        if start == 0:
+            self._spans.clear()
+            self._children.clear()
+            self._roots.clear()
+        else:
+            for dropped in self._spans[start:]:
+                self._children.pop(dropped.span_id, None)
+            del self._spans[start:]
+            self._roots.pop()
+        self._spans_cache = None
+        self._finished_cache = None
+
+    def span(self, name: str, **attributes: Any) -> _SpanScope:
         """Open a child span for the duration of the ``with`` block.
 
         An escaping exception marks the span's status as ``error`` (with
         the exception text) and is re-raised untouched.
         """
-        span = self.start_span(name, **attributes)
-        try:
-            yield span
-        except BaseException as exc:
-            span.mark_error(exc)
-            raise
-        finally:
-            self.end_span(span)
+        return _SpanScope(self, name, attributes)
 
     def event(self, name: str, **attributes: Any) -> None:
         """Attach a virtual-time-stamped event to the current span.
@@ -236,7 +314,8 @@ class Tracer:
     def set_retention(self, retain: bool) -> None:
         """Flip streaming mode (the telemetry pipeline does this when it
         attaches with ``streaming=True``).  Takes effect at the next
-        trace completion; already-retained spans stay readable."""
+        trace completion, which drops only that trace's spans;
+        already-retained spans stay readable."""
         self._retain = retain
 
     @property

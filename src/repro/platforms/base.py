@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.device.device import MobileDevice
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.util.latency import LatencyModel
 
 
@@ -38,6 +39,9 @@ class PlatformBase:
         self.device = device
         self.native_latency = latency or LatencyModel(default_ms=1.0)
         self._charge_log: Dict[str, int] = {}
+        #: ``substrate.latency_ms`` series by operation, for one registry.
+        self._latency_registry: Optional[MetricsRegistry] = None
+        self._latency_histograms: Dict[str, Histogram] = {}
 
     @property
     def scheduler(self):
@@ -72,14 +76,28 @@ class PlatformBase:
             ) as span:
                 span.set_attribute("latency_ms", round(latency, 6))
                 self.clock.advance(latency)
-            obs.metrics.histogram(
-                "substrate.latency_ms", operation=operation
-            ).observe(latency)
+            self._latency_histogram(obs.metrics, operation).observe(latency)
         else:
             self.clock.advance(latency)
         self.device.battery.drain(operation, latency * self.DRAIN_MWH_PER_MS)
         self._charge_log[operation] = self._charge_log.get(operation, 0) + 1
         return latency
+
+    def _latency_histogram(self, metrics: MetricsRegistry, operation: str) -> Histogram:
+        """Resolve ``operation``'s latency series once per registry.
+
+        A series the cardinality guard folded into its overflow series
+        is not cached, so the guard still counts every request for it.
+        """
+        if metrics is not self._latency_registry:
+            self._latency_registry = metrics
+            self._latency_histograms = {}
+        histogram = self._latency_histograms.get(operation)
+        if histogram is None:
+            histogram = metrics.histogram("substrate.latency_ms", operation=operation)
+            if "operation" in histogram.labels:
+                self._latency_histograms[operation] = histogram
+        return histogram
 
     def native_call_counts(self) -> Dict[str, int]:
         """How many times each native operation was charged (test aid)."""

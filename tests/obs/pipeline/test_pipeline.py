@@ -120,6 +120,31 @@ class TestStreamingRetention:
         assert tracer.spans == []  # ring is the only storage
         assert len(pipeline.retention) == 20
 
+    def test_late_streaming_attach_keeps_earlier_spans(self):
+        hub = Observability(capture_real_time=False)
+        clock = SimulatedClock()
+        hub.bind_clock(clock)
+        _invoke(clock, hub.tracer)
+        before = list(hub.tracer.finished_spans())
+        hub.install_pipeline(PipelineConfig(default_rate=1.0, streaming=True))
+        _invoke(clock, hub.tracer)
+        assert len(before) == 2
+        assert hub.tracer.finished_spans() == before
+        assert len(hub.pipeline.retention) == 2  # only the streamed trace
+
+    def test_pipeline_receives_each_trace_once(self):
+        clock, tracer = _tracer()
+        pipeline = TelemetryPipeline(PipelineConfig(default_rate=1.0))
+        pipeline.attach(tracer, source="agent-1")
+        seen = []
+        pipeline.add_observer(
+            lambda source, spans: seen.append((source, [s.name for s in spans]))
+        )
+        _invoke(clock, tracer)
+        assert seen == [("agent-1", ["binding:send", "dispatch:notify"])]
+        names = [record["name"] for record in pipeline.retention.records()]
+        assert names == ["binding:send", "dispatch:notify"]  # completion order
+
     def test_ring_eviction_is_accounted(self):
         clock, tracer = _tracer()
         pipeline = TelemetryPipeline(
