@@ -8,6 +8,9 @@ infrastructure errors of the simulation itself or the *uniform* error
 surface that MobiVine exposes to applications.
 """
 
+import json
+from typing import Any, Dict, Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by the reproduction itself."""
@@ -23,6 +26,38 @@ class ClockError(SimulationError):
 
 class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid inputs."""
+
+
+class InputError(ReproError, ValueError):
+    """An input document or command-line value is unusable.
+
+    ``source`` names the file (or option) and ``line`` the 1-based line
+    at fault, when known: ``str()`` reads ``SOURCE[:LINE]: reason``.
+    """
+
+    def __init__(self, reason: str, *, source: Optional[str] = None,
+                 line: Optional[int] = None) -> None:
+        super().__init__(reason)
+        self.reason, self.source, self.line = reason, source, line
+
+    def __str__(self) -> str:
+        where = self.source or ""
+        if self.line is not None:
+            where = f"{where}:{self.line}" if where else f"line {self.line}"
+        return f"{where}: {self.reason}" if where else self.reason
+
+
+def json_object(text: str, *, line: Optional[int] = None) -> Dict[str, Any]:
+    """Decode ``text`` as one JSON object, else raise :class:`InputError`;
+    ``line`` is the 1-based line ``text`` came from, when it is one line."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc.msg} at column {exc.colno}",
+                         line=exc.lineno if line is None else line) from None
+    if not isinstance(payload, dict):
+        raise InputError("not a JSON object", line=line)
+    return payload
 
 
 class DescriptorError(ReproError):

@@ -67,7 +67,6 @@ from repro.obs.analyze import (
     SloStatus,
     collapsed_stacks,
     diff_profiles,
-    load_profile,
     parse_jsonl,
     records_to_jsonl,
     render_causal_text,
@@ -251,7 +250,6 @@ __all__ = [
     "export_jsonl",
     "fault_report",
     "instrumentation_points",
-    "load_profile",
     "parse_jsonl",
     "quantile_label",
     "records_to_jsonl",

@@ -55,7 +55,6 @@ from repro.obs.analyze.diff import (
     LayerDelta,
     ProfileDiff,
     diff_profiles,
-    load_profile,
 )
 from repro.obs.analyze.overhead import (
     LAYERS,
@@ -96,7 +95,6 @@ __all__ = [
     "StreamingPercentiles",
     "collapsed_stacks",
     "diff_profiles",
-    "load_profile",
     "parse_jsonl",
     "quantile_label",
     "records_to_jsonl",

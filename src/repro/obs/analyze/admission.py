@@ -42,9 +42,9 @@ class AdmissionReport:
     def from_records(cls, records: List[Dict[str, Any]]) -> "AdmissionReport":
         report = cls()
         for record in records:
-            for event in record.get("events") or []:
+            for event in record.get("events", ()):
                 name = event.get("name")
-                attributes = event.get("attributes") or {}
+                attributes = event.get("attributes", {})
                 priority = str(attributes.get("priority", "unknown"))
                 platform = str(attributes.get("platform", "unknown"))
                 if name == "queue.shed":

@@ -1,8 +1,10 @@
 """Cross-region causal graph analytics over exported traces.
 
 ``python -m repro.obs causal TRACE`` stitches the distributed tier's
-per-hop spans into one happens-before DAG and answers the questions the
-per-table aggregates (``repro.obs.analyze.distrib``) cannot:
+per-hop spans into one happens-before DAG.  It is the one pass over the
+tier's spans and events: the per-table aggregates ``distrib`` reports are a
+projection of it (:class:`~repro.obs.analyze.distrib.DistribReport`).
+Beyond those it answers:
 
 * **Graph** — every span is a node; edges are parent→child span links
   plus the cross-region ``causal.origin`` references stamped on
@@ -39,10 +41,26 @@ __all__ = ["CAUSAL_SCHEMA", "CausalReport", "render_causal_text"]
 
 CAUSAL_SCHEMA = "repro.obs.causal/v1"
 
-#: Span-name prefixes that mark distributed-tier hops.
-_HOP_PREFIXES = (
-    "write:", "replicate:", "gossip:", "invalidate:", "flush:",
-)
+class _LagStat:
+    __slots__ = ("count", "total_ms", "max_ms")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total_ms = 0.0
+        self.max_ms = 0.0
+
+    def add(self, lag_ms: float) -> None:
+        self.count += 1
+        self.total_ms += lag_ms
+        self.max_ms = max(self.max_ms, lag_ms)
+
+    def to_dict(self) -> Dict[str, Any]:
+        mean = self.total_ms / self.count if self.count else 0.0
+        return {
+            "count": self.count,
+            "mean_ms": round(mean, 3),
+            "max_ms": round(self.max_ms, 3),
+        }
 
 
 class _Write:
@@ -123,6 +141,19 @@ class CausalReport:
         self.violations: List[Dict[str, Any]] = []
         #: chain tag → number of dedup suppressions joined to it.
         self.dedup_chains: Dict[str, int] = {}
+        # The tables ``DistribReport`` projects.
+        #: "table/region" → ``lag_ms`` of ``replicate:`` spans.
+        self.replication_lag: Dict[str, _LagStat] = {}
+        #: table → sweeps/merges; partition pair → cuts/heals.
+        self.gossip: Dict[str, Dict[str, int]] = {}
+        self.partitions: Dict[str, Dict[str, int]] = {}
+        #: dedup store label / site → suppression count.
+        self.dedup_by_store: Dict[str, int] = {}
+        self.dedup_by_site: Dict[str, int] = {}
+        #: saga name → status → count of ``saga.completed`` /
+        #: ``saga.compensated`` events on any span; → failed steps.
+        self.saga_outcomes: Dict[str, Dict[str, int]] = {}
+        self.saga_failures: Dict[str, int] = {}
 
     # -- folding --------------------------------------------------------------
 
@@ -148,7 +179,7 @@ class CausalReport:
 
     def _fold_record(self, record: Dict[str, Any]) -> None:
         name = record.get("name") or ""
-        attributes = record.get("attributes") or {}
+        attributes = record.get("attributes", {})
         ref = _ref(record)
         region = attributes.get("region")
         if region:
@@ -167,8 +198,28 @@ class CausalReport:
         elif name.startswith("replicate:"):
             self._bump_hop("replicate")
             self._fold_visibility(record, attributes, via="replicate")
+            lag = attributes.get("lag_ms")
+            self.replication_lag.setdefault(
+                f"{_table_of(name, attributes)}/"
+                f"{attributes.get('region', 'unknown')}",
+                _LagStat(),
+            ).add(float(lag) if lag is not None else 0.0)
         elif name.startswith("gossip:"):
             self._bump_hop("gossip_sweep")
+            entry = self.gossip.setdefault(
+                _table_of(name, attributes), {"sweeps": 0, "merges": 0}
+            )
+            entry["sweeps"] += 1
+            entry["merges"] += int(attributes.get("merges", 0) or 0)
+        elif name.startswith("partition:"):
+            entry = self.partitions.setdefault(
+                name.split(":", 1)[1], {"cuts": 0, "heals": 0}
+            )
+            entry["heals" if attributes.get("event") == "heal" else "cuts"] += 1
+        elif name.startswith("saga:"):
+            self.saga_outcomes.setdefault(
+                str(attributes.get("saga", name.split(":", 1)[1])), {}
+            )
         elif name.startswith("invalidate:"):
             self._bump_hop("invalidate")
             origin_ref = attributes.get("causal.origin")
@@ -178,14 +229,14 @@ class CausalReport:
             self._bump_hop("flush")
         elif name == "notify.drain":
             self._bump_hop("notify.drain")
-        for event in record.get("events") or []:
+        for event in record.get("events", ()):
             self._fold_event(record, event)
 
     def _fold_event(
         self, record: Dict[str, Any], event: Dict[str, Any]
     ) -> None:
         event_name = event.get("name")
-        attributes = event.get("attributes") or {}
+        attributes = event.get("attributes", {})
         if event_name == "gossip.merge":
             self._bump_hop("gossip")
             sample = dict(attributes)
@@ -202,10 +253,16 @@ class CausalReport:
             self.violations.append(violation)
         elif event_name == "distrib.dedup":
             self._bump_hop("dedup")
+            _bump(self.dedup_by_store, str(attributes.get("store", "unknown")))
+            _bump(self.dedup_by_site, str(attributes.get("site", "unknown")))
             chain = attributes.get("chain")
             if chain:
-                chain = str(chain)
-                self.dedup_chains[chain] = self.dedup_chains.get(chain, 0) + 1
+                _bump(self.dedup_chains, str(chain))
+        elif event_name in ("saga.completed", "saga.compensated"):
+            saga = str(attributes.get("saga", "unknown"))
+            _bump(self.saga_outcomes.setdefault(saga, {}), event_name[5:])
+        elif event_name == "saga.step.failed":
+            _bump(self.saga_failures, str(attributes.get("saga", "unknown")))
 
     def _fold_visibility(
         self, record: Dict[str, Any], attributes: Dict[str, Any], *, via: str
@@ -246,7 +303,7 @@ class CausalReport:
             ).observe(lag_ms)
 
     def _bump_hop(self, kind: str) -> None:
-        self.hops[kind] = self.hops.get(kind, 0) + 1
+        _bump(self.hops, kind)
 
     def _check_acyclic(self) -> None:
         """Kahn's algorithm over the stitched graph."""
@@ -277,7 +334,7 @@ class CausalReport:
             name = record.get("name") or ""
             if not name.startswith("saga:"):
                 continue
-            attributes = record.get("attributes") or {}
+            attributes = record.get("attributes", {})
             start = float(record.get("start_virtual_ms") or 0.0)
             end = record.get("end_virtual_ms")
             total = (float(end) - start) if end is not None else 0.0
@@ -287,7 +344,7 @@ class CausalReport:
             replication_wait_ms = 0.0
             write_count = 0
             status = "pending"
-            for event in record.get("events") or []:
+            for event in record.get("events", ()):
                 if event.get("name") == "saga.completed":
                     status = "completed"
                 elif event.get("name") == "saga.compensated":
@@ -316,7 +373,7 @@ class CausalReport:
                     compensation_ms += duration
                 elif child_name.startswith("write:"):
                     write_count += 1
-                    child_attrs = current.get("attributes") or {}
+                    child_attrs = current.get("attributes", {})
                     label = (
                         f"{child_attrs.get('table', '')}/"
                         f"{child_attrs.get('key', '')}@"
@@ -416,6 +473,14 @@ class CausalReport:
 
 def _ref(record: Dict[str, Any]) -> str:
     return f"{record.get('trace_id')}:{record.get('span_id')}"
+
+
+def _table_of(name: str, attributes: Dict[str, Any]) -> str:
+    return str(attributes.get("table", name.split(":", 1)[1]))
+
+
+def _bump(table: Dict[str, int], key: str) -> None:
+    table[key] = table.get(key, 0) + 1
 
 
 def _percentile_dict(stats: StreamingPercentiles) -> Dict[str, Any]:

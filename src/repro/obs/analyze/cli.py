@@ -21,7 +21,8 @@ the shorthand), so scripts can pipe any analysis as JSON.
 * ``admission`` — shed / throttle / autoscale breakdown from the
   admission plane's span events;
 * ``distrib`` — replication-lag / dedup / saga tables from the
-  distributed tier's spans and events;
+  distributed tier's spans and events (a projection of the causal fold:
+  one pass over the tier's records serves both reports);
 * ``causal`` — the cross-region happens-before graph: visibility
   latency, convergence paths, saga decomposition and the
   causality-violation audit (``--gate`` fails on violations/cycles);
@@ -33,14 +34,23 @@ the shorthand), so scripts can pipe any analysis as JSON.
   state, admission outcomes, flight incidents and the causal audit into
   one report (``--gate`` fails on drops, overflows, tail misses,
   causal violations or SLO breaches).
+
+Every input file is opened and parsed in one place (:func:`_load`), and
+the reports share one tail: ``--out`` → ``--format`` → gate exit.  Exit
+codes: ``0`` ok; ``1`` a ``--gate`` failed or ``slo`` found a breach;
+``2`` unusable input (an unreadable or malformed file, a bad option value,
+an unknown scenario), reported as one ``repro.obs: error: PATH[:LINE]:
+reason`` line on stderr, like argparse's own usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional, Sequence, Tuple
+import sys
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import InputError, json_object
 from repro.obs.analyze.admission import AdmissionReport, render_admission_text
 from repro.obs.analyze.causal import CausalReport, render_causal_text
 from repro.obs.analyze.critical_path import CriticalPath
@@ -49,7 +59,7 @@ from repro.obs.analyze.diff import (
     DEFAULT_NOISE_FRAC,
     DEFAULT_NOISE_MS,
     diff_profiles,
-    load_profile,
+    load_profile_text,
 )
 from repro.obs.analyze.overhead import (
     OverheadProfile,
@@ -79,11 +89,6 @@ COMMANDS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _format_parent() -> argparse.ArgumentParser:
     """The shared output-format options every subcommand takes."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -96,6 +101,125 @@ def _format_parent() -> argparse.ArgumentParser:
         help="shorthand for --format json",
     )
     return parent
+
+
+#: One ``add_argument`` call: (flags, keyword options).
+_Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **options: Any) -> _Arg:
+    return flags, options
+
+
+def _out(document: str) -> _Arg:
+    return _arg("--out", metavar="PATH", help=f"also save the JSON {document} to PATH")
+
+
+def _gate(failure: str) -> _Arg:
+    return _arg("--gate", action="store_true", help=f"exit 1 on {failure}")
+
+
+_TRACE = _arg("trace", help="JSONL trace export")
+_SLO_HELP = "op:threshold_ms[:target[:window_ms[:platform]]] (repeatable)"
+
+#: Each command's arguments, in --help order (``scenario`` nests its own
+#: actions below).
+_ARGUMENTS: Dict[str, List[_Arg]] = {
+    "profile": [
+        _TRACE,
+        _arg("--time", choices=("virtual", "real"), default="virtual",
+             help="time domain to fold in (real needs an include_real_time export)"),
+        _arg("--top", type=int, default=0, metavar="N",
+             help="also print the top-N spans by self-time"),
+        _arg("--flame", action="store_true",
+             help="print flamegraph collapsed stacks instead of the table"),
+        _out("profile"),
+    ],
+    "slo": [
+        _TRACE,
+        _arg("--slo", action="append", required=True, metavar="SPEC",
+             dest="specs", help=_SLO_HELP),
+    ],
+    "diff": [
+        _arg("base", help="baseline trace JSONL, profile JSON, or BENCH json"),
+        _arg("new", help="candidate trace JSONL, profile JSON, or BENCH json"),
+        _arg("--noise-ms", type=float, default=DEFAULT_NOISE_MS),
+        _arg("--noise-frac", type=float, default=DEFAULT_NOISE_FRAC),
+        _gate("regressions (default: report only)"),
+    ],
+    "timeline": [
+        _TRACE,
+        _arg("--width", type=int, default=60, metavar="COLS",
+             help="Gantt cell columns (default: 60)"),
+        _out("timeline document"),
+    ],
+    "critical-path": [
+        _TRACE,
+        _arg("--max-steps", type=int, default=40, metavar="N",
+             help="path steps to show before eliding (default: 40)"),
+        _out("path document"),
+    ],
+    "flight": [_arg("trace", help="saved flight-recorder JSON document")],
+    "admission": [_TRACE, _out("report")],
+    "distrib": [_TRACE, _out("report")],
+    "causal": [
+        _TRACE, _out("report"),
+        _gate("causal violations or a happens-before cycle"),
+    ],
+    "health": [
+        _TRACE,
+        _arg("--flight", metavar="PATH", default=None,
+             help="also fold a saved flight-recorder JSON document in"),
+        _arg("--slo", action="append", metavar="SPEC", dest="specs",
+             default=[], help=_SLO_HELP),
+        _arg("--rate", type=float, default=1.0, metavar="R",
+             help="head-sampling keep rate to replay at (default: 1.0)"),
+        _arg("--rate-op", action="append", metavar="CLASS=R", dest="rate_ops",
+             default=[], help="per-op-class rate override (repeatable)"),
+        _arg("--seed", type=int, default=0, help="sampling seed (default: 0)"),
+        _arg("--retain", type=int, default=4096, metavar="N",
+             help="retention ring capacity in spans (default: 4096)"),
+        _arg("--max-series", type=int, default=64, metavar="N",
+             help="rollup key-cardinality bound (default: 64)"),
+        _arg("--max-metric-series", type=int, default=None, metavar="N",
+             help="label-cardinality guard on the pipeline's metrics registry"),
+        _out("health report"),
+        _gate("drops, overflows, tail misses, causal violations or SLO breaches"),
+        _arg("--strict", action="store_true",
+             help="with --gate, also fail on any anomalous trace at all"),
+    ],
+}
+
+_DIVERGENCE_GATE = _gate("any undeclared divergence")
+
+#: ``scenario`` actions: name → (help, arguments).
+_SCENARIO_ACTIONS = {
+    "list": ("list the bundled scenario library", []),
+    "record": ("record a scenario into a JSONL recording", [
+        _arg("scenario", help="bundled scenario name or scenario JSON file"),
+        _arg("--platform", metavar="NAME", default=None,
+             help="record on this platform (default: the scenario's own)"),
+        _arg("--out", metavar="PATH", help="write the JSONL recording to PATH"),
+    ]),
+    "replay": ("replay a recording on a platform and diff", [
+        _arg("recording", help="JSONL scenario recording"),
+        _arg("--platform", metavar="NAME", default=None,
+             help="replay on this platform (default: the recording's own)"),
+        _out("diff document"),
+        _DIVERGENCE_GATE,
+    ]),
+    "diff": ("diff two recordings of the same scenario", [
+        _arg("base", help="baseline JSONL scenario recording"),
+        _arg("other", help="candidate JSONL scenario recording"),
+        _out("diff document"),
+        _DIVERGENCE_GATE,
+    ]),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments: List[_Arg]) -> None:
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,201 +237,100 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     parent = _format_parent()
-    helps = dict(COMMANDS)
-
-    profile = commands.add_parser(
-        "profile", help=helps["profile"], parents=[parent]
-    )
-    profile.add_argument("trace", help="JSONL trace export")
-    profile.add_argument(
-        "--time", choices=("virtual", "real"), default="virtual",
-        help="time domain to fold in (real needs an include_real_time export)",
-    )
-    profile.add_argument("--top", type=int, default=0, metavar="N",
-                         help="also print the top-N spans by self-time")
-    profile.add_argument("--flame", action="store_true",
-                         help="print flamegraph collapsed stacks instead of the table")
-    profile.add_argument("--out", metavar="PATH",
-                         help="also save the JSON profile to PATH")
-
-    slo = commands.add_parser("slo", help=helps["slo"], parents=[parent])
-    slo.add_argument("trace", help="JSONL trace export")
-    slo.add_argument(
-        "--slo", action="append", required=True, metavar="SPEC", dest="specs",
-        help="op:threshold_ms[:target[:window_ms[:platform]]] (repeatable)",
-    )
-
-    diff = commands.add_parser("diff", help=helps["diff"], parents=[parent])
-    diff.add_argument("base", help="baseline trace JSONL, profile JSON, or BENCH json")
-    diff.add_argument("new", help="candidate trace JSONL, profile JSON, or BENCH json")
-    diff.add_argument("--noise-ms", type=float, default=DEFAULT_NOISE_MS)
-    diff.add_argument("--noise-frac", type=float, default=DEFAULT_NOISE_FRAC)
-    diff.add_argument("--gate", action="store_true",
-                      help="exit 1 on regressions (default: report only)")
-
-    timeline = commands.add_parser(
-        "timeline", help=helps["timeline"], parents=[parent]
-    )
-    timeline.add_argument("trace", help="JSONL trace export")
-    timeline.add_argument("--width", type=int, default=60, metavar="COLS",
-                          help="Gantt cell columns (default: 60)")
-    timeline.add_argument("--out", metavar="PATH",
-                          help="also save the JSON timeline document to PATH")
-
-    critical = commands.add_parser(
-        "critical-path", help=helps["critical-path"], parents=[parent]
-    )
-    critical.add_argument("trace", help="JSONL trace export")
-    critical.add_argument("--max-steps", type=int, default=40, metavar="N",
-                          help="path steps to show before eliding (default: 40)")
-    critical.add_argument("--out", metavar="PATH",
-                          help="also save the JSON path document to PATH")
-
-    flight = commands.add_parser(
-        "flight", help=helps["flight"], parents=[parent]
-    )
-    flight.add_argument("trace", help="saved flight-recorder JSON document")
-
-    admission = commands.add_parser(
-        "admission", help=helps["admission"], parents=[parent]
-    )
-    admission.add_argument("trace", help="JSONL trace export")
-    admission.add_argument("--out", metavar="PATH",
-                           help="also save the JSON report to PATH")
-
-    distrib = commands.add_parser(
-        "distrib", help=helps["distrib"], parents=[parent]
-    )
-    distrib.add_argument("trace", help="JSONL trace export")
-    distrib.add_argument("--out", metavar="PATH",
-                         help="also save the JSON report to PATH")
-
-    causal = commands.add_parser(
-        "causal", help=helps["causal"], parents=[parent]
-    )
-    causal.add_argument("trace", help="JSONL trace export")
-    causal.add_argument("--out", metavar="PATH",
-                        help="also save the JSON report to PATH")
-    causal.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 on causal violations or a happens-before cycle",
-    )
-
-    scenario = commands.add_parser("scenario", help=helps["scenario"])
-    actions = scenario.add_subparsers(dest="scenario_command", required=True)
-    actions.add_parser(
-        "list", help="list the bundled scenario library", parents=[parent]
-    )
-    sc_record = actions.add_parser(
-        "record", help="record a scenario into a JSONL recording",
-        parents=[parent],
-    )
-    sc_record.add_argument(
-        "scenario", help="bundled scenario name or scenario JSON file"
-    )
-    sc_record.add_argument(
-        "--platform", metavar="NAME", default=None,
-        help="record on this platform (default: the scenario's own)",
-    )
-    sc_record.add_argument("--out", metavar="PATH",
-                           help="write the JSONL recording to PATH")
-    sc_replay = actions.add_parser(
-        "replay", help="replay a recording on a platform and diff",
-        parents=[parent],
-    )
-    sc_replay.add_argument("recording", help="JSONL scenario recording")
-    sc_replay.add_argument(
-        "--platform", metavar="NAME", default=None,
-        help="replay on this platform (default: the recording's own)",
-    )
-    sc_replay.add_argument("--out", metavar="PATH",
-                           help="also save the JSON diff document to PATH")
-    sc_replay.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 on any undeclared divergence",
-    )
-    sc_diff = actions.add_parser(
-        "diff", help="diff two recordings of the same scenario",
-        parents=[parent],
-    )
-    sc_diff.add_argument("base", help="baseline JSONL scenario recording")
-    sc_diff.add_argument("other", help="candidate JSONL scenario recording")
-    sc_diff.add_argument("--out", metavar="PATH",
-                         help="also save the JSON diff document to PATH")
-    sc_diff.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 on any undeclared divergence",
-    )
-
-    health = commands.add_parser(
-        "health", help=helps["health"], parents=[parent]
-    )
-    health.add_argument("trace", help="JSONL trace export")
-    health.add_argument(
-        "--flight", metavar="PATH", default=None,
-        help="also fold a saved flight-recorder JSON document in",
-    )
-    health.add_argument(
-        "--slo", action="append", metavar="SPEC", dest="specs", default=[],
-        help="op:threshold_ms[:target[:window_ms[:platform]]] (repeatable)",
-    )
-    health.add_argument(
-        "--rate", type=float, default=1.0, metavar="R",
-        help="head-sampling keep rate to replay at (default: 1.0)",
-    )
-    health.add_argument(
-        "--rate-op", action="append", metavar="CLASS=R", dest="rate_ops",
-        default=[], help="per-op-class rate override (repeatable)",
-    )
-    health.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default: 0)")
-    health.add_argument(
-        "--retain", type=int, default=4096, metavar="N",
-        help="retention ring capacity in spans (default: 4096)",
-    )
-    health.add_argument(
-        "--max-series", type=int, default=64, metavar="N",
-        help="rollup key-cardinality bound (default: 64)",
-    )
-    health.add_argument(
-        "--max-metric-series", type=int, default=None, metavar="N",
-        help="label-cardinality guard on the pipeline's metrics registry",
-    )
-    health.add_argument("--out", metavar="PATH",
-                        help="also save the JSON health report to PATH")
-    health.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 on drops, overflows, tail misses, causal violations "
-             "or SLO breaches",
-    )
-    health.add_argument(
-        "--strict", action="store_true",
-        help="with --gate, also fail on any anomalous trace at all",
-    )
+    for name, text in COMMANDS:
+        if name == "scenario":
+            actions = commands.add_parser(name, help=text).add_subparsers(
+                dest="scenario_command", required=True
+            )
+            for action, (action_help, arguments) in _SCENARIO_ACTIONS.items():
+                _add_arguments(
+                    actions.add_parser(action, help=action_help, parents=[parent]),
+                    arguments,
+                )
+        else:
+            _add_arguments(
+                commands.add_parser(name, help=text, parents=[parent]),
+                _ARGUMENTS[name],
+            )
     return parser
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    records = parse_jsonl(_read(args.trace))
-    profile = OverheadProfile.from_records(records, time=args.time)
+# -- one load path, one emit tail ----------------------------------------------
+
+def _load(path: str, parse: Callable[[str], Any]) -> Any:
+    """Read and parse one input file; any input failure names ``path``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        raise InputError(exc.strerror or str(exc), source=path) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text: {exc.reason}", source=path) from None
+    except InputError as exc:
+        exc.source = path
+        raise
+
+
+def _emit(
+    report: Any,
+    args: argparse.Namespace,
+    render: Callable[[Any], str],
+    failed: Optional[Callable[[Any], bool]] = None,
+) -> int:
+    """The shared tail: ``--out``, then ``--format``, then the gate exit."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(profile.to_json())
-    if args.flame:
-        print(collapsed_stacks(records, time=args.time))
-    elif args.format == "json":
-        print(profile.to_json(), end="")
+            handle.write(report.to_json())
+    if args.format == "json":
+        print(report.to_json(), end="")
     else:
-        print(render_profile_text(profile))
+        print(render(report))
+    if failed is not None and args.gate and failed(report):
+        return 1
+    return 0
+
+
+#: The table-driven trace reports: command → (build from records, text
+#: renderer, gate failure test or None when ``--gate`` does not apply).
+_REPORTS = {
+    "timeline": (ShardTimelines.from_records,
+                 lambda r, a: r.render_text(width=a.width), None),
+    "critical-path": (CriticalPath.from_records,
+                      lambda r, a: r.render_text(max_steps=a.max_steps), None),
+    "admission": (AdmissionReport.from_records,
+                  lambda r, a: render_admission_text(r), None),
+    "distrib": (DistribReport.from_records,
+                lambda r, a: render_distrib_text(r), None),
+    "causal": (CausalReport.from_records,
+               lambda r, a: render_causal_text(r),
+               lambda r: bool(r.violations) or not r.acyclic),
+}
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    build, render, failed = _REPORTS[args.command]
+    report = build(_load(args.trace, parse_jsonl))
+    return _emit(report, args, lambda r: render(r, args), failed)
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    records = _load(args.trace, parse_jsonl)
+    profile = OverheadProfile.from_records(records, time=args.time)
+    render = render_profile_text
+    if args.flame:
+        # Collapsed stacks replace the table, whichever format was asked.
+        args.format = "text"
+        render = lambda _: collapsed_stacks(records, time=args.time)  # noqa: E731
+    code = _emit(profile, args, render)
     if args.top:
         print()
         print(top_spans_text(records, args.top, time=args.time))
-    return 0
+    return code
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     specs = [SloSpec.parse(text) for text in args.specs]
-    records = parse_jsonl(_read(args.trace))
+    records = _load(args.trace, parse_jsonl)
     engine = SloEngine(specs)
     ingested = engine.ingest_records(records)
     last_t = max(
@@ -338,8 +361,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     diff = diff_profiles(
-        load_profile(args.base),
-        load_profile(args.new),
+        _load(args.base, load_profile_text),
+        _load(args.new, load_profile_text),
         noise_ms=args.noise_ms,
         noise_frac=args.noise_frac,
     )
@@ -352,32 +375,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    timelines = ShardTimelines.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(timelines.to_json())
-    if args.format == "json":
-        print(timelines.to_json(), end="")
-    else:
-        print(timelines.render_text(width=args.width))
-    return 0
-
-
-def _cmd_critical_path(args: argparse.Namespace) -> int:
-    path = CriticalPath.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(path.to_json())
-    if args.format == "json":
-        print(path.to_json(), end="")
-    else:
-        print(path.render_text(max_steps=args.max_steps))
-    return 0
-
-
 def _cmd_flight(args: argparse.Namespace) -> int:
-    payload = FlightRecorder.parse(_read(args.trace))
+    payload = _load(args.trace, FlightRecorder.parse)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -385,71 +384,26 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_admission(args: argparse.Namespace) -> int:
-    report = AdmissionReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_admission_text(report))
-    return 0
-
-
-def _cmd_distrib(args: argparse.Namespace) -> int:
-    report = DistribReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_distrib_text(report))
-    return 0
-
-
-def _cmd_causal(args: argparse.Namespace) -> int:
-    report = CausalReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_causal_text(report))
-    if args.gate and (report.violations or not report.acyclic):
-        return 1
-    return 0
-
-
 def _load_scenario(spec: str):
     """A bundled library name, or a path to a scenario JSON document."""
     import os
 
-    from repro.scenario import LIBRARY, Scenario, build
+    from repro.scenario import LIBRARY, build
+    from repro.scenario.recording import scenario_from_payload
 
     if spec in LIBRARY:
         return build(spec)
     if os.path.exists(spec):
-        return Scenario.from_dict(json.loads(_read(spec)))
-    raise SystemExit(
-        f"unknown scenario {spec!r}: not a bundled name "
-        f"({', '.join(sorted(LIBRARY))}) and not a file"
+        return _load(spec, lambda text: scenario_from_payload(json_object(text)))
+    raise InputError(
+        f"unknown scenario: not a bundled name "
+        f"({', '.join(sorted(LIBRARY))}) and not a file",
+        source=spec,
     )
 
 
 def _emit_diff(diff, args: argparse.Namespace) -> int:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(diff.to_json())
-    if args.format == "json":
-        print(diff.to_json(), end="")
-    else:
-        print(diff.render_text())
-    if args.gate and not diff.passed:
-        return 1
-    return 0
+    return _emit(diff, args, lambda d: d.render_text(), lambda d: not d.passed)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -493,67 +447,71 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(text, end="")
         return 0
     if args.scenario_command == "replay":
-        base = ScenarioRecording.parse(_read(args.recording))
+        base = _load(args.recording, ScenarioRecording.parse)
         result = replay(base, platform=args.platform)
         return _emit_diff(result.diff, args)
     # diff
     diff = diff_recordings(
-        ScenarioRecording.parse(_read(args.base)),
-        ScenarioRecording.parse(_read(args.other)),
+        _load(args.base, ScenarioRecording.parse),
+        _load(args.other, ScenarioRecording.parse),
     )
     return _emit_diff(diff, args)
 
 
+def _rate_override(text: str) -> Tuple[str, float]:
+    op, sep, rate = text.partition("=")
+    try:
+        if sep:
+            return op, float(rate)
+    except ValueError:
+        pass
+    raise InputError(f"must be CLASS=RATE, got {text!r}", source="--rate-op")
+
+
 def _cmd_health(args: argparse.Namespace) -> int:
-    rates = {}
-    for override in args.rate_ops:
-        op, sep, rate = override.partition("=")
-        if not sep:
-            raise SystemExit(f"--rate-op must be CLASS=RATE, got {override!r}")
-        rates[op] = float(rate)
     config = PipelineConfig(
         default_rate=args.rate,
-        rates=rates,
+        rates=dict(_rate_override(text) for text in args.rate_ops),
         seed=args.seed,
         span_capacity=args.retain,
         max_series=args.max_series,
         max_metric_series=args.max_metric_series,
     )
     flight_payload = (
-        FlightRecorder.parse(_read(args.flight)) if args.flight else None
+        _load(args.flight, FlightRecorder.parse) if args.flight else None
     )
     report = HealthReport.from_records(
-        parse_jsonl(_read(args.trace)),
+        _load(args.trace, parse_jsonl),
         config=config,
         slo_specs=[SloSpec.parse(text) for text in args.specs],
         flight_payload=flight_payload,
         strict=args.strict,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_health_text(report))
-    if args.gate and not report.healthy:
-        return 1
-    return 0
+    return _emit(report, args, render_health_text, lambda r: not r.healthy)
+
+
+_HANDLERS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "profile": _cmd_profile,
+    "slo": _cmd_slo,
+    "diff": _cmd_diff,
+    "flight": _cmd_flight,
+    "scenario": _cmd_scenario,
+    "health": _cmd_health,
+    **{name: _cmd_report for name in _REPORTS},
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; returns 0 (ok) or 1 (a failed gate or SLO).
+
+    Unusable input — an unreadable or malformed file, a bad option
+    value, an unknown scenario — prints one ``repro.obs: error:
+    PATH[:LINE]: reason`` line to stderr and exits 2, the code argparse
+    already uses for a bad command line.
+    """
     args = build_parser().parse_args(list(argv) if argv is not None else None)
-    handlers = {
-        "profile": _cmd_profile,
-        "slo": _cmd_slo,
-        "diff": _cmd_diff,
-        "timeline": _cmd_timeline,
-        "critical-path": _cmd_critical_path,
-        "flight": _cmd_flight,
-        "admission": _cmd_admission,
-        "distrib": _cmd_distrib,
-        "causal": _cmd_causal,
-        "scenario": _cmd_scenario,
-        "health": _cmd_health,
-    }
-    return handlers[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except InputError as exc:
+        print(f"repro.obs: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None

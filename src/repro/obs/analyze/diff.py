@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Union
 
+from repro.errors import InputError, json_object
 from repro.obs.analyze.overhead import LAYERS, OverheadProfile, PROFILE_SCHEMA
 
 #: Default gate thresholds (per-invocation milliseconds / fraction).
@@ -133,9 +134,10 @@ def _profile_from_document(payload: Dict[str, Any]) -> OverheadProfile:
         return OverheadProfile.from_dict(payload)
     # A repro.bench/v1 result embedding the traced profile.
     metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and metrics.get("profile", {}).get("schema") == PROFILE_SCHEMA:
-        return OverheadProfile.from_dict(metrics["profile"])
-    raise ValueError("document is neither a profile nor a bench result with one")
+    profile = metrics.get("profile") if isinstance(metrics, dict) else None
+    if isinstance(profile, dict) and profile.get("schema") == PROFILE_SCHEMA:
+        return OverheadProfile.from_dict(profile)
+    raise InputError("document is neither a profile nor a bench result with one")
 
 
 def load_profile_text(text: str) -> OverheadProfile:
@@ -151,16 +153,7 @@ def load_profile_text(text: str) -> OverheadProfile:
         head = None
     if isinstance(head, dict) and "span_id" in head:
         return OverheadProfile.from_jsonl(text)
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("unrecognized profile document")
-    return _profile_from_document(payload)
-
-
-def load_profile(path) -> OverheadProfile:
-    """:func:`load_profile_text` over a file path."""
-    with open(path, encoding="utf-8") as handle:
-        return load_profile_text(handle.read())
+    return _profile_from_document(json_object(text))
 
 
 def diff_profiles(

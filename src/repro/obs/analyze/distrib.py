@@ -1,14 +1,18 @@
 """Distributed-tier analytics over exported traces.
 
-``python -m repro.obs distrib TRACE`` folds a JSONL trace export into
-one :class:`DistribReport`: per-table/per-region replication lag (from
+``python -m repro.obs distrib TRACE`` reports the distributed tier's
+per-table activity: per-table/per-region replication lag (from
 ``replicate:<table>`` spans), gossip sweep activity (``gossip:<table>``
 spans), partition cuts and heals (``partition:<a>|<b>`` spans), dedup
-suppressions (``distrib.dedup`` events on resilience spans) and the
-saga span trees (``saga:*`` spans plus their lifecycle events).  Like
-the admission report, everything is recomputed from the trace alone —
-a saved CI export answers "did the regions converge and was anything
-applied twice?" without rerunning the scenario.
+suppressions (``distrib.dedup`` events on resilience spans) and saga
+outcomes (``saga:*`` spans plus their lifecycle events).
+
+:class:`DistribReport` is a projection of the causal fold
+(:class:`~repro.obs.analyze.causal.CausalReport`), which is the one pass
+over the tier's spans and events; this module only selects and renders
+its tables.  Like the admission report, everything is recomputed from
+the trace alone — a saved CI export answers "did the regions converge
+and was anything applied twice?" without rerunning the scenario.
 """
 
 from __future__ import annotations
@@ -16,105 +20,26 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from repro.obs.analyze.causal import CausalReport
+
 __all__ = ["DistribReport", "render_distrib_text"]
 
 
-class _LagStat:
-    __slots__ = ("count", "total_ms", "max_ms")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
-
-    def add(self, lag_ms: float) -> None:
-        self.count += 1
-        self.total_ms += lag_ms
-        self.max_ms = max(self.max_ms, lag_ms)
-
-    def to_dict(self) -> Dict[str, Any]:
-        mean = self.total_ms / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "mean_ms": round(mean, 3),
-            "max_ms": round(self.max_ms, 3),
-        }
-
-
 class DistribReport:
-    """Replication / dedup / saga activity folded from one trace."""
+    """Replication / dedup / saga tables of one causal fold."""
 
-    def __init__(self) -> None:
-        #: "table/region" → lag statistics.
-        self.replication: Dict[str, _LagStat] = {}
-        #: table → {"sweeps": n, "merges": n}.
-        self.gossip: Dict[str, Dict[str, int]] = {}
-        #: partition span name → {"cuts": n, "heals": n}.
-        self.partitions: Dict[str, Dict[str, int]] = {}
-        #: dedup store label → suppression count.
-        self.dedup_by_store: Dict[str, int] = {}
-        #: dedup site (``sms.submit`` / ``network.request``) → count.
-        self.dedup_by_site: Dict[str, int] = {}
-        #: saga name → status → count.
-        self.sagas: Dict[str, Dict[str, int]] = {}
-        #: saga name → failed-step counts.
-        self.saga_failures: Dict[str, int] = {}
+    def __init__(self, causal: CausalReport) -> None:
+        self.replication = causal.replication_lag
+        self.gossip = causal.gossip
+        self.partitions = causal.partitions
+        self.dedup_by_store = causal.dedup_by_store
+        self.dedup_by_site = causal.dedup_by_site
+        self.sagas = causal.saga_outcomes
+        self.saga_failures = causal.saga_failures
 
     @classmethod
     def from_records(cls, records: List[Dict[str, Any]]) -> "DistribReport":
-        report = cls()
-        for record in records:
-            name = record.get("name") or ""
-            attributes = record.get("attributes") or {}
-            if name.startswith("replicate:"):
-                table = str(attributes.get("table", name.split(":", 1)[1]))
-                region = str(attributes.get("region", "unknown"))
-                lag = attributes.get("lag_ms")
-                stat = report.replication.setdefault(
-                    f"{table}/{region}", _LagStat()
-                )
-                stat.add(float(lag) if lag is not None else 0.0)
-            elif name.startswith("gossip:"):
-                table = str(attributes.get("table", name.split(":", 1)[1]))
-                entry = report.gossip.setdefault(
-                    table, {"sweeps": 0, "merges": 0}
-                )
-                entry["sweeps"] += 1
-                entry["merges"] += int(attributes.get("merges", 0) or 0)
-            elif name.startswith("partition:"):
-                pair = name.split(":", 1)[1]
-                entry = report.partitions.setdefault(
-                    pair, {"cuts": 0, "heals": 0}
-                )
-                if attributes.get("event") == "heal":
-                    entry["heals"] += 1
-                else:
-                    entry["cuts"] += 1
-            elif name.startswith("saga:"):
-                saga = str(attributes.get("saga", name.split(":", 1)[1]))
-                report.sagas.setdefault(saga, {})
-            for event in record.get("events") or []:
-                event_name = event.get("name")
-                event_attrs = event.get("attributes") or {}
-                if event_name == "distrib.dedup":
-                    _bump(
-                        report.dedup_by_store,
-                        str(event_attrs.get("store", "unknown")),
-                    )
-                    _bump(
-                        report.dedup_by_site,
-                        str(event_attrs.get("site", "unknown")),
-                    )
-                elif event_name in ("saga.completed", "saga.compensated"):
-                    saga = str(event_attrs.get("saga", "unknown"))
-                    status = event_name.split(".", 1)[1]
-                    _bump(report.sagas.setdefault(saga, {}), status)
-                elif event_name == "saga.step.failed":
-                    _bump(
-                        report.saga_failures,
-                        str(event_attrs.get("saga", "unknown")),
-                    )
-        return report
+        return cls(CausalReport.from_records(records))
 
     @property
     def dedup_total(self) -> int:
@@ -151,10 +76,6 @@ class DistribReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _bump(table: Dict[str, int], key: str) -> None:
-    table[key] = table.get(key, 0) + 1
 
 
 def render_distrib_text(report: DistribReport) -> str:

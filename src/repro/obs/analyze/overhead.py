@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import InputError, json_object
 from repro.obs.quantiles import StreamingPercentiles
 from repro.obs.span import Span
 
@@ -51,18 +52,66 @@ TIME_DOMAINS: Tuple[str, ...] = ("virtual", "real")
 # Span records: the dict form every analytics entry point consumes
 # ---------------------------------------------------------------------------
 
+_OPTIONAL_INT = (int, type(None))
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+#: A record is an object with a ``span_id`` and a ``name``; these envelope
+#: fields, when present, must have the types the exporter writes (attribute *values*
+#: are the folds' own business).  Events are checked against
+#: ``_EVENT_FIELDS``.
+_RECORD_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "name": (str,), "status": (str,), "error": (str, type(None)),
+    "trace_id": (int,), "span_id": (int,), "parent_id": _OPTIONAL_INT,
+    "start_virtual_ms": _OPTIONAL_NUMBER, "end_virtual_ms": _OPTIONAL_NUMBER,
+    "start_real_ms": _OPTIONAL_NUMBER, "end_real_ms": _OPTIONAL_NUMBER,
+    "attributes": (dict,), "events": (list,),
+}
+_EVENT_FIELDS = {
+    "name": (str,), "t_virtual_ms": _OPTIONAL_NUMBER, "attributes": (dict,),
+}
+
+
+def _field_error(
+    item: Dict[str, Any], fields: Dict[str, Tuple[type, ...]], where: str
+) -> Optional[str]:
+    for key, types in fields.items():
+        if key in item and not isinstance(item[key], types):
+            return f"{where}{key} is a {type(item[key]).__name__}"
+    return None
+
+
+def _record_error(record: Dict[str, Any]) -> Optional[str]:
+    """Why a decoded line is not a span record, or None when it is."""
+    for key in ("span_id", "name"):
+        if key not in record:
+            return f"not a span record (no {key})"
+    problem = _field_error(record, _RECORD_FIELDS, "")
+    if problem is not None:
+        return problem
+    for index, event in enumerate(record.get("events", ())):
+        if not isinstance(event, dict):
+            return f"events[{index}] is a {type(event).__name__}"
+        problem = _field_error(event, _EVENT_FIELDS, f"events[{index}].")
+        if problem is not None:
+            return problem
+    return None
+
+
 def parse_jsonl(text: str) -> List[Dict[str, Any]]:
     """Parse a JSONL trace export into span records (dicts), preserving
     every field so that :func:`records_to_jsonl` round-trips
-    byte-identically."""
+    byte-identically.  The one place that decides what a record looks
+    like (:data:`_RECORD_FIELDS`): a line that is not one raises
+    :class:`~repro.errors.InputError` naming the 1-based line."""
     records: List[Dict[str, Any]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        if not isinstance(record, dict) or "span_id" not in record:
-            raise ValueError(f"line {lineno} is not a span record")
+        record = json_object(line, line=lineno)
+        problem = _record_error(record)
+        if problem is not None:
+            raise InputError(problem, line=lineno)
         records.append(record)
     return records
 
@@ -265,7 +314,7 @@ class OverheadProfile:
         if anchor is None:
             return  # not an invocation tree (setup spans, bare substrate, …)
         operation = anchor["name"].split(":", 1)[1]
-        platform = (anchor.get("attributes") or {}).get("platform", "unknown")
+        platform = anchor.get("attributes", {}).get("platform", "unknown")
         key = (operation, platform)
         entry = self.operations.get(key)
         if entry is None:
@@ -329,7 +378,7 @@ class OverheadProfile:
         """Rehydrate a saved profile (layer totals and counts only; the
         percentile streams are summarized, not replayable)."""
         if payload.get("schema") != PROFILE_SCHEMA:
-            raise ValueError(f"not a {PROFILE_SCHEMA} document")
+            raise InputError(f"not a {PROFILE_SCHEMA} document")
         profile = cls(time_domain=payload.get("time", "virtual"))
         for item in payload.get("operations", []):
             entry = OperationProfile(item["operation"], item["platform"])

@@ -191,7 +191,7 @@ class SloEngine:
         dispatches.sort(key=lambda r: (r["end_virtual_ms"], r["span_id"]))
         for record in dispatches:
             operation = record["name"].split(":", 1)[1]
-            attributes = record.get("attributes") or {}
+            attributes = record.get("attributes", {})
             start = record.get("start_virtual_ms") or 0.0
             end = record["end_virtual_ms"]
             self.observe(

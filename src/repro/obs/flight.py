@@ -29,6 +29,7 @@ import collections
 import json
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.errors import InputError, json_object
 from repro.obs.span import Span, _clean_attributes
 
 FLIGHT_SCHEMA = "repro.obs.flight/v1"
@@ -187,10 +188,11 @@ class FlightRecorder:
 
     @classmethod
     def parse(cls, text: str) -> Dict[str, Any]:
-        """Validate and return a saved flight document (CLI entry)."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or payload.get("schema") != FLIGHT_SCHEMA:
-            raise ValueError(f"not a {FLIGHT_SCHEMA} document")
+        """Validate and return a saved flight document (CLI entry); an
+        unusable document raises :class:`~repro.errors.InputError`."""
+        payload = json_object(text)
+        if payload.get("schema") != FLIGHT_SCHEMA:
+            raise InputError(f"not a {FLIGHT_SCHEMA} document")
         return payload
 
 

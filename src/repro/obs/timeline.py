@@ -200,7 +200,7 @@ class ShardTimelines:
             name = record.get("name", "")
             if not name.startswith(LANE_SPAN_PREFIX):
                 continue
-            attributes = record.get("attributes") or {}
+            attributes = record.get("attributes", {})
             shard = attributes.get("shard")
             if shard is None:
                 continue

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InputError, json_object
 from repro.scenario.model import Scenario
 
 #: Serialization schema tag for recording documents.
@@ -53,6 +53,17 @@ def shape_to_tuple(payload) -> Tuple:
     if name == "native" and not children:
         return ("native",)
     return (name, tuple(shape_to_tuple(child) for child in children))
+
+
+def scenario_from_payload(payload: Any, *, line: Optional[int] = None) -> Scenario:
+    """:meth:`Scenario.from_dict` over an input document: a payload that
+    does not describe a valid scenario raises :class:`InputError`."""
+    if not isinstance(payload, dict):
+        raise InputError("scenario is not a JSON object", line=line)
+    try:
+        return Scenario.from_dict(payload)
+    except (ConfigurationError, KeyError, TypeError) as exc:
+        raise InputError(f"invalid scenario: {exc}", line=line) from None
 
 
 def _canonical_line(payload: Mapping[str, Any]) -> str:
@@ -106,16 +117,29 @@ class ScenarioRecording:
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioRecording":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ConfigurationError("empty scenario recording")
-        header = json.loads(lines[0])
+        """Rebuild a recording from its JSONL text; an unusable document
+        raises :class:`~repro.errors.InputError` naming the line."""
+        numbered = [
+            (lineno, json_object(line, line=lineno))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+        if not numbered:
+            raise InputError("empty scenario recording")
+        header_line, header = numbered[0]
         if header.get("schema") != RECORDING_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported recording schema {header.get('schema')!r}"
+            raise InputError(
+                f"unsupported recording schema {header.get('schema')!r}",
+                line=header_line,
             )
+        if "platform" not in header:
+            raise InputError("recording header has no platform", line=header_line)
+        scenario = scenario_from_payload(header.get("scenario"), line=header_line)
+        for lineno, outcome in numbered[1:]:
+            if "step" not in outcome:
+                raise InputError("outcome has no step", line=lineno)
         return cls(
-            scenario=Scenario.from_dict(header["scenario"]),
+            scenario=scenario,
             platform=header["platform"],
-            outcomes=tuple(json.loads(line) for line in lines[1:]),
+            outcomes=tuple(outcome for _, outcome in numbered[1:]),
         )

@@ -10,7 +10,7 @@ uniform errors that escaped to the app surface.
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.analysis.metrics import chaos_summary
+from repro.obs.report import chaos_summary
 from repro.apps.workforce import scenario
 from repro.apps.workforce.proxied import (
     WorkforceLogic,

@@ -15,7 +15,7 @@ checks the two planes compose:
 
 import pytest
 
-from repro.analysis.metrics import chaos_summary
+from repro.obs.report import chaos_summary
 from repro.apps.workforce import scenario
 from repro.apps.workforce.common import PATH_REPORT_LOCATION, SERVER_HOST, encode
 from repro.apps.workforce.proxied import launch_on_android

@@ -223,9 +223,14 @@ class TestFlightCommand:
         assert payload["schema"] == "repro.obs.flight/v1"
         assert payload["dumps"][0]["reason"] == "task.crashed"
 
-    def test_rejects_non_flight_document(self, trace_path):
-        with pytest.raises(ValueError):
+    def test_rejects_non_flight_document(self, trace_path, capsys):
+        # Unusable input exits 2 with one line naming the file.
+        with pytest.raises(SystemExit) as excinfo:
             main(["flight", str(trace_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro.obs: error: {trace_path}:")
+        assert err.count("\n") == 1
 
 
 def admission_record(span_id, events):
