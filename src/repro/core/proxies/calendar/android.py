@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.calendar.api import CalendarProxy
-from repro.core.proxies.calendar.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CalendarEvent
 from repro.errors import ProxyError, ProxyInvalidArgumentError
@@ -94,4 +93,6 @@ class AndroidCalendarProxyImpl(CalendarProxy):
             self._resolver("removeEvent").delete(f"{CALENDAR_URI}/{event_id}")
 
 
-register_implementation(ANDROID_IMPL, AndroidCalendarProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.calendar.CalendarProxyImpl", AndroidCalendarProxyImpl
+)

@@ -8,7 +8,6 @@ from typing import Dict, List
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.calendar.android import AndroidCalendarProxyImpl
 from repro.core.proxies.calendar.api import CalendarProxy
-from repro.core.proxies.calendar.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.factory import register_implementation, standard_registry
 from repro.core.proxies.webview_common import (
     WrapperBackend,
@@ -179,4 +178,6 @@ class CalendarProxyJs(CalendarProxy):
         decode_or_raise(self._wrapper.remove_event(self._swi, event_id))
 
 
-register_implementation(WEBVIEW_IMPL, CalendarProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.calendar.CalendarProxyJs", CalendarProxyJs
+)

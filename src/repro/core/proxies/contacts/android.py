@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import Contact
 from repro.errors import ProxyError
@@ -84,4 +83,6 @@ class AndroidContactsProxyImpl(ContactsProxy):
             self._resolver("removeContact").delete(f"{CONTACTS_URI}/{contact_id}")
 
 
-register_implementation(ANDROID_IMPL, AndroidContactsProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.contacts.ContactsProxyImpl", AndroidContactsProxyImpl
+)

@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import S60_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import Contact as UniformContact
 from repro.platforms.s60.pim import Contact, ContactItem, PimStatics
@@ -91,4 +90,4 @@ class S60ContactsProxyImpl(ContactsProxy):
                 contact_list.close()
 
 
-register_implementation(S60_IMPL, S60ContactsProxyImpl)
+register_implementation("com.ibm.S60.contacts.ContactsProxy", S60ContactsProxyImpl)

@@ -11,7 +11,6 @@ from typing import Dict, List
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.android import AndroidContactsProxyImpl
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.factory import register_implementation, standard_registry
 from repro.core.proxies.webview_common import (
     WrapperBackend,
@@ -167,4 +166,6 @@ class ContactsProxyJs(ContactsProxy):
         decode_or_raise(self._wrapper.remove_contact(self._swi, contact_id))
 
 
-register_implementation(WEBVIEW_IMPL, ContactsProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.contacts.ContactsProxyJs", ContactsProxyJs
+)

@@ -63,9 +63,10 @@ def standard_registry() -> ProxyRegistry:
     """The registry holding the shipped proxies (built once).
 
     Descriptors load from the packaged XML documents in
-    ``repro/core/proxies/descriptors/`` — the descriptors really are data,
-    schema-validated on load.  A test asserts the files stay in sync with
-    the Python builders that generate them.
+    ``repro/core/proxies/descriptors/``, the only definition of the
+    shipped proxies.  Each document is schema-validated on load; edit a
+    proxy's planes in its XML file, kept in the canonical form that
+    ``descriptor_to_xml`` writes.
     """
     global _STANDARD_REGISTRY
     if _STANDARD_REGISTRY is None:

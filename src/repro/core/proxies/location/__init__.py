@@ -7,6 +7,5 @@ WebView, with platform attributes flowing through ``set_property``.
 """
 
 from repro.core.proxies.location.api import LocationProxy
-from repro.core.proxies.location.descriptor import build_location_descriptor
 
-__all__ = ["LocationProxy", "build_location_descriptor"]
+__all__ = ["LocationProxy"]

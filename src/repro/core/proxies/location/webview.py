@@ -30,7 +30,6 @@ from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation, standard_registry
 from repro.core.proxies.location.android import AndroidLocationProxyImpl
 from repro.core.proxies.location.api import LocationProxy
-from repro.core.proxies.location.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
     NotificationHandler,
     WrapperBackend,
@@ -346,4 +345,6 @@ class LocationProxyJs(LocationProxy):
         return FunctionProximityListener(callback)
 
 
-register_implementation(WEBVIEW_IMPL, LocationProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.location.LocationProxyJs", LocationProxyJs
+)

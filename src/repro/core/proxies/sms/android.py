@@ -12,7 +12,6 @@ from typing import Optional
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
-from repro.core.proxies.sms.descriptor import ANDROID_IMPL
 from repro.core.proxy.callbacks import SmsStatusListener
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
@@ -130,4 +129,4 @@ class AndroidSmsProxyImpl(SmsProxy):
         return self._invoke("sendTextMessage", attempt, fallback=fallback)
 
 
-register_implementation(ANDROID_IMPL, AndroidSmsProxyImpl)
+register_implementation("com.ibm.proxies.android.sms.SmsProxyImpl", AndroidSmsProxyImpl)

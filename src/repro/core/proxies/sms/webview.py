@@ -16,7 +16,6 @@ from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation, standard_registry
 from repro.core.proxies.sms.android import AndroidSmsProxyImpl
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
-from repro.core.proxies.sms.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
     NotificationHandler,
     WrapperBackend,
@@ -213,4 +212,4 @@ class SmsProxyJs(SmsProxy):
             handler.stop_polling()
 
 
-register_implementation(WEBVIEW_IMPL, SmsProxyJs)
+register_implementation("com.ibm.proxies.webview.sms.SmsProxyJs", SmsProxyJs)

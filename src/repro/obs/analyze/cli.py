@@ -50,7 +50,7 @@ import json
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InputError, json_object
+from repro.errors import ConfigurationError, InputError, json_object
 from repro.obs.analyze.admission import AdmissionReport, render_admission_text
 from repro.obs.analyze.causal import CausalReport, render_causal_text
 from repro.obs.analyze.critical_path import CriticalPath
@@ -329,7 +329,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    specs = [SloSpec.parse(text) for text in args.specs]
+    specs = [_slo_spec(text) for text in args.specs]
     records = _load(args.trace, parse_jsonl)
     engine = SloEngine(specs)
     ingested = engine.ingest_records(records)
@@ -468,6 +468,13 @@ def _rate_override(text: str) -> Tuple[str, float]:
     raise InputError(f"must be CLASS=RATE, got {text!r}", source="--rate-op")
 
 
+def _slo_spec(text: str) -> SloSpec:
+    try:
+        return SloSpec.parse(text)
+    except (ConfigurationError, ValueError) as exc:
+        raise InputError(f"{text!r}: {exc}", source="--slo") from None
+
+
 def _cmd_health(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         default_rate=args.rate,
@@ -477,13 +484,14 @@ def _cmd_health(args: argparse.Namespace) -> int:
         max_series=args.max_series,
         max_metric_series=args.max_metric_series,
     )
+    specs = [_slo_spec(text) for text in args.specs]
     flight_payload = (
         _load(args.flight, FlightRecorder.parse) if args.flight else None
     )
     report = HealthReport.from_records(
-        _load(args.trace, parse_jsonl),
+        _load(args.trace, lambda text: parse_jsonl(text, require=("trace_id",))),
         config=config,
-        slo_specs=[SloSpec.parse(text) for text in args.specs],
+        slo_specs=specs,
         flight_payload=flight_payload,
         strict=args.strict,
     )

@@ -97,19 +97,26 @@ def _record_error(record: Dict[str, Any]) -> Optional[str]:
     return None
 
 
-def parse_jsonl(text: str) -> List[Dict[str, Any]]:
+def parse_jsonl(
+    text: str, *, require: Tuple[str, ...] = ()
+) -> List[Dict[str, Any]]:
     """Parse a JSONL trace export into span records (dicts), preserving
     every field so that :func:`records_to_jsonl` round-trips
     byte-identically.  The one place that decides what a record looks
     like (:data:`_RECORD_FIELDS`): a line that is not one raises
-    :class:`~repro.errors.InputError` naming the 1-based line."""
+    :class:`~repro.errors.InputError` naming the 1-based line.
+    ``require`` names optional fields a caller cannot do without
+    (``health`` replays whole traces, grouped by ``trace_id``)."""
     records: List[Dict[str, Any]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         record = json_object(line, line=lineno)
-        problem = _record_error(record)
+        problem = _record_error(record) or next(
+            (f"record has no {key}" for key in require if key not in record),
+            None,
+        )
         if problem is not None:
             raise InputError(problem, line=lineno)
         records.append(record)

@@ -281,8 +281,10 @@ class ConcurrencyRuntime:
         """A location fix, reusing one younger than the staleness window.
 
         ``fresh=True`` bypasses (but still refreshes) the cache.  Fix
-        requests for the same proxy also coalesce in flight — ten agents
-        asking at once cost one GPS read.
+        requests for the same proxy also coalesce in flight — ten callers
+        asking one proxy at once cost one GPS read.  The in-flight key is
+        the proxy, so agents with proxies of their own never share an
+        in-flight read.
         """
         cache = self._location_caches.get(id(location_proxy))
         if cache is None:

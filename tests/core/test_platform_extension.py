@@ -28,12 +28,12 @@ from repro.core.proxies.factory import (
     register_implementation,
 )
 from repro.core.proxies.http.api import HttpProxy
-from repro.core.proxies.http.descriptor import build_http_descriptor
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.device import MobileDevice
 from repro.device.network import HttpRequest, HttpResponse, NetworkError
 from repro.errors import DescriptorError
 from repro.platforms.base import PlatformBase
+from tests.core.shipped import shipped_descriptor
 
 BREW_IMPL = "com.vendor.brew.http.HttpProxyImpl"
 
@@ -129,7 +129,7 @@ class TestVocabulary:
 class TestBindingOnlyExtension:
     def test_add_binding_reuses_existing_planes(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register(shipped_descriptor("http.xml"))
         registry.add_binding("Http", _brew_binding())
         descriptor = registry.descriptor("Http")
         # semantic + syntactic untouched, one binding added
@@ -138,7 +138,7 @@ class TestBindingOnlyExtension:
 
     def test_drawer_immediately_shows_the_proxy(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register(shipped_descriptor("http.xml"))
         registry.add_binding("Http", _brew_binding())
         drawer = ProxyDrawer(registry, "brew")
         assert drawer.categories() == ["Http"]
@@ -147,13 +147,13 @@ class TestBindingOnlyExtension:
         from repro.core.descriptor.schema import validate_descriptor_xml
         from repro.core.descriptor.xml_io import descriptor_to_xml
 
-        descriptor = build_http_descriptor()
+        descriptor = shipped_descriptor("http.xml")
         descriptor.add_binding(_brew_binding())
         assert validate_descriptor_xml(descriptor_to_xml(descriptor)) == []
 
     def test_uniform_proxy_works_on_the_new_platform(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register(shipped_descriptor("http.xml"))
         registry.add_binding("Http", _brew_binding())
         device = MobileDevice("+1")
         platform = BrewPlatform(device)
@@ -167,7 +167,7 @@ class TestBindingOnlyExtension:
         from repro.errors import ProxyPlatformError
 
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register(shipped_descriptor("http.xml"))
         registry.add_binding("Http", _brew_binding())
         device = MobileDevice("+1")
         platform = BrewPlatform(device)

@@ -34,6 +34,7 @@ HERE = pathlib.Path(__file__).parent
 REPO = HERE.parents[2]
 SCENARIOS = REPO / "tests" / "scenarios"
 MALFORMED = HERE / "malformed_trace.jsonl"
+NO_TRACE_ID = HERE / "no_trace_id.jsonl"
 
 TRACE_COMMANDS = (
     "profile", "slo", "timeline", "critical-path",
@@ -158,6 +159,23 @@ class TestOtherInputs:
         for value in ("notify", "notify=fast"):
             result = run(["health", str(valid), "--rate-op", value])
             assert_input_error(result, "--rate-op")
+
+    @pytest.mark.parametrize("command", ["slo", "health"])
+    @pytest.mark.parametrize("spec", ["nocolon", "post:abc", "post:100:2"])
+    def test_malformed_slo_spec_exits_2(self, command, spec, valid):
+        result = run([command, str(valid), "--slo", spec])
+        assert_input_error(result, "--slo")
+        assert repr(spec) in result[2]
+
+    def test_health_needs_trace_ids(self):
+        """``health`` replays whole traces, so a record without
+        ``trace_id`` is unusable there; the other folds still take it."""
+        result = run(["health", str(NO_TRACE_ID)])
+        assert_input_error(result, NO_TRACE_ID, 1)
+        assert "no trace_id" in result[2]
+        for command in TRACE_COMMANDS:
+            if command != "health":
+                assert run(argv_for(command, NO_TRACE_ID))[0] == 0, command
 
     def test_unknown_scenario_exits_2(self):
         result = run(["scenario", "record", "no_such_flow"])
