@@ -86,12 +86,15 @@ class MobileDevice:
         self.faults = FaultInjector(
             fault_plan, clock=self.scheduler.clock, observability=self.obs
         )
+        # Energy accounting: every GPS tick costs receiver power, charged
+        # as the receiver settles its ticks.
         self.gps = GpsReceiver(
             self.scheduler,
             self.bus,
             trajectory,
             seed=gps_seed,
             injector=self.faults,
+            battery=self.battery,
         )
         self.telephony = TelephonyUnit(self.scheduler, self.bus)
         self.contacts = ContactStore()
@@ -104,14 +107,6 @@ class MobileDevice:
         )
         self._inbox = []
         self.sms_center.attach(self.phone_number, self._inbox.append)
-        # Energy accounting: every GPS fix costs receiver power.
-        self.bus.subscribe("gps.fix", self._drain_for_fix)
-
-    #: Battery cost of producing one GPS fix.
-    GPS_FIX_DRAIN_MWH = 0.25
-
-    def _drain_for_fix(self, topic, fix) -> None:
-        self.battery.drain("gps.fix", self.GPS_FIX_DRAIN_MWH)
 
     @property
     def clock(self) -> SimulatedClock:

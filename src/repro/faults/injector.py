@@ -78,6 +78,11 @@ class FaultInjector:
         """Whether any rule exists at all (cheap fault-free check)."""
         return bool(self._rules)
 
+    def has_rules(self, site: str) -> bool:
+        """Whether the plan has rules for ``site``: then every consult
+        draws from the site's stream, so none may be skipped."""
+        return bool(self._rules.get(site))
+
     def bind_clock(self, clock: SimulatedClock) -> None:
         """Late-bind the virtual clock (device wiring convenience)."""
         self._clock = clock

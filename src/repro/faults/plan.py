@@ -22,7 +22,8 @@ FAULT_SITES: Dict[str, Tuple[str, ...]] = {
     # write and *then* loses the acknowledgement — the duplicate-side-effect
     # scenario the idempotency plane exists for.
     "network.request": ("drop", "timeout", "http_error", "ack_lost"),
-    # GpsReceiver._emit_fix
+    # GpsReceiver._emit_fix: consulted on every tick while a plan has a
+    # rule for this site
     "gps.fix": ("lost", "stale"),
     # SmsCenter.submit (``ack_lost`` as above: message accepted, ack lost)
     "sms.submit": ("carrier_unreachable", "ack_lost"),

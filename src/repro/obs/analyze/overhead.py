@@ -56,9 +56,10 @@ _OPTIONAL_INT = (int, type(None))
 _OPTIONAL_NUMBER = (int, float, type(None))
 
 #: A record is an object with a ``span_id`` and a ``name``; these envelope
-#: fields, when present, must have the types the exporter writes (attribute *values*
-#: are the folds' own business).  Events are checked against
-#: ``_EVENT_FIELDS``.
+#: fields, when present, must have the types the exporter writes.  Events
+#: are checked against ``_EVENT_FIELDS``, and the attribute values a fold
+#: reads as numbers against ``_NUMERIC_ATTRIBUTES``; other attribute values
+#: are the folds' own business.
 _RECORD_FIELDS: Dict[str, Tuple[type, ...]] = {
     "name": (str,), "status": (str,), "error": (str, type(None)),
     "trace_id": (int,), "span_id": (int,), "parent_id": _OPTIONAL_INT,
@@ -68,6 +69,13 @@ _RECORD_FIELDS: Dict[str, Tuple[type, ...]] = {
 }
 _EVENT_FIELDS = {
     "name": (str,), "t_virtual_ms": _OPTIONAL_NUMBER, "attributes": (dict,),
+}
+#: Span-name prefix -> attributes a fold reads as numbers: the causal fold
+#: (``replicate:``, ``gossip:``) and the shard timelines (``queue:``).
+_NUMERIC_ATTRIBUTES: Dict[str, Tuple[str, ...]] = {
+    "replicate:": ("lag_ms",),
+    "gossip:": ("merges",),
+    "queue:": ("shard", "wait_ms"),
 }
 
 
@@ -88,6 +96,13 @@ def _record_error(record: Dict[str, Any]) -> Optional[str]:
     problem = _field_error(record, _RECORD_FIELDS, "")
     if problem is not None:
         return problem
+    attributes = record.get("attributes", {})
+    for prefix, keys in _NUMERIC_ATTRIBUTES.items():
+        if record["name"].startswith(prefix):
+            for key in keys:
+                value = attributes.get(key)
+                if isinstance(value, bool) or not isinstance(value, _OPTIONAL_NUMBER):
+                    return f"attributes.{key} is a {type(value).__name__}, not a number"
     for index, event in enumerate(record.get("events", ())):
         if not isinstance(event, dict):
             return f"events[{index}] is a {type(event).__name__}"

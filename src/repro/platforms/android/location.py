@@ -17,10 +17,11 @@ Java mapping: ``addProximityAlert`` → :meth:`LocationManager.add_proximity_ale
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union, TYPE_CHECKING
 
-from repro.device.gps import GpsFix, TOPIC_FIX
+from repro.device.gps import GpsFix
 from repro.platforms.android.context import Context
 from repro.platforms.android.exceptions import (
     IllegalArgumentException,
@@ -234,34 +235,40 @@ class LocationServiceState:
     """Platform-wide location state: the alert table and GPS lifecycle.
 
     The platform owns exactly one of these; every LocationManager facade
-    shares it.  Subscribes to device GPS fixes and converts region-boundary
-    crossings into intent broadcasts.
+    shares it.  It consumes device GPS fixes and converts region-boundary
+    crossings into intent broadcasts.  It asks the receiver for a fix only
+    when one could fire or expire an alert (see :meth:`next_fix_needed_ms`).
     """
 
     def __init__(self, platform: "AndroidPlatform") -> None:
         self._platform = platform
         self._alerts: List[_ProximityAlert] = []
         self._alert_contexts: Dict[int, Context] = {}
-        self._gps_subscribed = False
+        self._gps_attached = False
 
     @property
     def active_alert_count(self) -> int:
+        self._platform.device.gps.settle()
         return len(self._alerts)
 
     def ensure_gps_powered(self) -> None:
         gps = self._platform.device.gps
         if not gps.powered:
             gps.power_on()
-        if not self._gps_subscribed:
-            self._platform.device.bus.subscribe(TOPIC_FIX, self._on_fix)
-            self._gps_subscribed = True
+        if not self._gps_attached:
+            gps.attach(self)
+            self._gps_attached = True
 
     def add_alert(self, alert: _ProximityAlert, context: Context) -> None:
+        gps = self._platform.device.gps
+        gps.settle()
         self._alerts.append(alert)
         self._alert_contexts[id(alert)] = context
         self.ensure_gps_powered()
+        gps.need_next_fix()  # the next fix primes it
 
     def remove_alert(self, intent: Union[Intent, PendingIntent]) -> None:
+        self._platform.device.gps.settle()
         for alert in list(self._alerts):
             if alert.target is intent:
                 self._drop(alert)
@@ -271,7 +278,27 @@ class LocationServiceState:
             self._alerts.remove(alert)
         self._alert_contexts.pop(id(alert), None)
 
-    def _on_fix(self, topic: str, fix: GpsFix) -> None:
+    def next_fix_needed_ms(self, ref_ms: float) -> float:
+        """The first instant after ``ref_ms`` at which a fix could prime,
+        fire or expire an alert."""
+        alerts = self._alerts
+        if not all(alert.primed for alert in alerts):
+            return ref_ms
+        gps = self._platform.device.gps
+        need = math.inf
+        for alert in alerts:
+            if alert.expires_at_ms is not None and alert.expires_at_ms < need:
+                need = alert.expires_at_ms
+            need = min(
+                need,
+                gps.verdict_holds_until_ms(
+                    ref_ms, alert.latitude, alert.longitude, alert.radius_m,
+                    alert.inside,
+                ),
+            )
+        return need
+
+    def on_fix(self, fix: GpsFix) -> None:
         if not self._alerts:
             return
         now = self._platform.clock.now_ms

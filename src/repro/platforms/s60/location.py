@@ -20,10 +20,11 @@ Java mapping: ``proximityEvent`` → :meth:`ProximityListener.proximity_event`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.device.gps import GpsFix, TOPIC_FIX
+from repro.device.gps import GpsFix
 from repro.platforms.s60.exceptions import (
     IllegalArgumentException,
     LocationException,
@@ -306,7 +307,7 @@ class LocationProviderStatics:
         self.platform = platform
         self.out_of_service = False
         self._proximity: List[_ProximityRegistration] = []
-        self._gps_subscribed = False
+        self._gps_attached = False
         self._suite_name: Optional[str] = None
 
     def bind_suite(self, suite_name: str) -> None:
@@ -359,14 +360,18 @@ class LocationProviderStatics:
                 f"radius must be positive, got {proximity_radius}"
             )
         self.platform.charge_native("s60.addProximityListener")
+        gps = self.platform.device.gps
+        gps.settle()
         self._proximity.append(
             _ProximityRegistration(listener, coordinates, proximity_radius)
         )
         self.ensure_gps_powered()
+        gps.need_next_fix()  # the next fix checks it
         listener.monitoring_state_changed(True)
 
     def remove_proximity_listener(self, listener: ProximityListener) -> None:
         """Remove every registration of ``listener``."""
+        self.platform.device.gps.settle()
         removed = [r for r in self._proximity if r.listener is listener]
         self._proximity = [r for r in self._proximity if r.listener is not listener]
         for registration in removed:
@@ -374,6 +379,7 @@ class LocationProviderStatics:
 
     @property
     def proximity_registration_count(self) -> int:
+        self.platform.device.gps.settle()
         return len(self._proximity)
 
     # -- internals ---------------------------------------------------------------
@@ -382,11 +388,27 @@ class LocationProviderStatics:
         gps = self.platform.device.gps
         if not gps.powered:
             gps.power_on()
-        if not self._gps_subscribed:
-            self.platform.device.bus.subscribe(TOPIC_FIX, self._on_fix)
-            self._gps_subscribed = True
+        if not self._gps_attached:
+            gps.attach(self)
+            self._gps_attached = True
 
-    def _on_fix(self, topic: str, fix: GpsFix) -> None:
+    def next_fix_needed_ms(self, ref_ms: float) -> float:
+        """The first instant after ``ref_ms`` at which a fix could fall
+        inside a registered region (``ref_ms`` for one already inside)."""
+        gps = self.platform.device.gps
+        need = math.inf
+        for registration in self._proximity:
+            coordinates = registration.coordinates
+            need = min(
+                need,
+                gps.verdict_holds_until_ms(
+                    ref_ms, coordinates.get_latitude(), coordinates.get_longitude(),
+                    registration.radius_m, False,
+                ),
+            )
+        return need
+
+    def on_fix(self, fix: GpsFix) -> None:
         location = S60Location.from_fix(fix)
         for registration in list(self._proximity):
             distance = haversine_m(

@@ -131,6 +131,11 @@ class Scheduler:
         self.clock = clock if clock is not None else SimulatedClock()
         self._heap: List[Tuple[float, int, ScheduledTask]] = []
         self._seq = itertools.count()
+        #: The instant of the task being (or last) dispatched, or of the
+        #: last ``run_until`` target: tasks due before it have run.  A
+        #: synchronous charge moves the clock past it, not the dispatch, so
+        #: what a periodic task keeps current is current only up to here.
+        self.dispatched_ms = self.clock.now_ms
 
     def call_at(
         self,
@@ -222,6 +227,7 @@ class Scheduler:
             # charged it past this task's instant.
             if when_ms >= clock._now_ms:
                 clock._now_ms = float(when_ms)
+            self.dispatched_ms = when_ms
             period_ms = task.period_ms
             if period_ms is not None:
                 # Re-arm before running so the callback can cancel itself.
@@ -233,6 +239,7 @@ class Scheduler:
         # Callbacks may advance the clock themselves (e.g. synchronous
         # native-latency charges); never move it backwards.
         clock.advance_to(max(until_ms, clock.now_ms))
+        self.dispatched_ms = until_ms
         return executed
 
     def run_for(self, delta_ms: float) -> int:

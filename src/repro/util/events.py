@@ -34,7 +34,6 @@ class Subscription:
     def unsubscribe(self) -> None:
         """Stop receiving events.  Idempotent."""
         if self.active:
-            self.active = False
             self.bus._remove(self)
 
 
@@ -53,17 +52,45 @@ class EventBus:
         #: whenever the subscription set changes.
         self._routes: Dict[str, Tuple[Subscription, ...]] = {}
         self._delivery_log: deque = deque(maxlen=PUBLISH_LOG_SIZE)
+        self._watchers: List[Tuple[str, Callable[[], None]]] = []
+
+    def watch(self, topic: str, callback: Callable[[], None]) -> None:
+        """Call ``callback`` just before and just after every change to
+        the subscriptions that receive ``topic``.
+
+        A publisher that skips work nobody receives uses this to catch
+        up before a subscriber arrives or leaves, and to re-plan after.
+        """
+        self._watchers.append((topic, callback))
+
+    def _watchers_of(self, topic_pattern: str) -> List[Callable[[], None]]:
+        return [
+            callback
+            for topic, callback in self._watchers
+            if fnmatch.fnmatchcase(topic, topic_pattern)
+        ]
 
     def subscribe(self, topic_pattern: str, handler: Handler) -> Subscription:
         """Register ``handler`` for every topic matching ``topic_pattern``."""
+        watchers = self._watchers_of(topic_pattern)
+        for callback in watchers:
+            callback()
         sub = Subscription(self, topic_pattern, handler, token=next(self._tokens))
         self._subs.append(sub)
         self._routes.clear()
+        for callback in watchers:
+            callback()
         return sub
 
     def _remove(self, sub: Subscription) -> None:
+        watchers = self._watchers_of(sub.topic_pattern)
+        for callback in watchers:
+            callback()
+        sub.active = False
         self._subs = [s for s in self._subs if s.token != sub.token]
         self._routes.clear()
+        for callback in watchers:
+            callback()
 
     def _route(self, topic: str) -> Tuple[Subscription, ...]:
         route = self._routes.get(topic)
@@ -118,16 +145,29 @@ class TypedSignal:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._handlers: List[Callable[..., None]] = []
+        self._watchers: List[Callable[[], None]] = []
+
+    def watch(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` just before and just after every connect and
+        disconnect (see :meth:`EventBus.watch`)."""
+        self._watchers.append(callback)
 
     def connect(self, handler: Callable[..., None]) -> Callable[[], None]:
         """Attach ``handler``; returns a zero-arg disconnect function."""
-        self._handlers.append(handler)
+        self._changing(self._handlers.append, handler)
 
         def disconnect() -> None:
             if handler in self._handlers:
-                self._handlers.remove(handler)
+                self._changing(self._handlers.remove, handler)
 
         return disconnect
+
+    def _changing(self, change: Callable[..., None], handler: Callable) -> None:
+        for callback in self._watchers:
+            callback()
+        change(handler)
+        for callback in self._watchers:
+            callback()
 
     def emit(self, *args: Any, **kwargs: Any) -> int:
         """Call every connected handler; returns how many ran."""

@@ -6,7 +6,9 @@ report, proximity-alert fires, activity events and server track are
 hashed into one digest.  The constant below pins the exact floats and
 event order, so any change to the virtual-time substrate (scheduler,
 event bus, trajectory, fix emission) that moves a single event fails
-here.
+here.  The number of scheduler callbacks the run executed is pinned
+separately: it counts work, not behaviour, so a change that only
+schedules less fails that gate alone.
 """
 
 import hashlib
@@ -18,7 +20,9 @@ from repro.runtime import AdmissionConfig
 AGENTS = 30
 HORIZON_MS = 60_000.0
 #: sha256 of the run's per-agent state lines (see :func:`fleet_state_lines`).
-GOLDEN_DIGEST = "be00a303efac95fee1856641643c5a9b6b579c06d07f43ec12236cd3f9fa2a2c"
+GOLDEN_DIGEST = "0494a7a935202a896b9de0bf8781669ef7e3fcfc627ab1b10892458258f2e0b7"
+#: Scheduler callbacks the run executes.
+GOLDEN_EXECUTED = 1115
 
 
 def run_fleet():
@@ -35,8 +39,8 @@ def run_fleet():
     return fleet, executed
 
 
-def fleet_state_lines(fleet, executed):
-    lines = [f"executed={executed} now={fleet.scheduler.clock.now_ms!r}"]
+def fleet_state_lines(fleet):
+    lines = [f"now={fleet.scheduler.clock.now_ms!r}"]
     for agent in fleet.agents:
         agent_id = agent.profile.agent_id
         fix = agent.device.gps.last_fix
@@ -76,8 +80,11 @@ def test_fleet_run_exercises_every_recorded_channel():
 
 
 def test_fleet_digest_is_pinned():
-    fleet, executed = run_fleet()
-    digest = hashlib.sha256(
-        "\n".join(fleet_state_lines(fleet, executed)).encode()
-    ).hexdigest()
+    fleet, _ = run_fleet()
+    digest = hashlib.sha256("\n".join(fleet_state_lines(fleet)).encode()).hexdigest()
     assert digest == GOLDEN_DIGEST
+
+
+def test_fleet_callback_count_is_pinned():
+    _, executed = run_fleet()
+    assert executed == GOLDEN_EXECUTED

@@ -1,6 +1,7 @@
 """Tests for the battery accounting model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.device.battery import Battery
 
@@ -60,3 +61,27 @@ class TestBattery:
     def test_level_clamped_to_capacity(self):
         battery = Battery(capacity_mwh=100.0, level_mwh=500.0)
         assert battery.level_mwh == 100.0
+
+
+class TestSettling:
+    @given(
+        st.floats(min_value=0.0, max_value=4_000.0),
+        st.integers(min_value=0, max_value=20_000),
+    )
+    def test_one_debit_of_many_fix_drains_equals_them_in_turn(self, level, ticks):
+        """GPS ticks skipped unseen are charged at once, bit-identically."""
+        one, many = Battery(level_mwh=level), Battery(level_mwh=level)
+        one.debit("gps.fix", 0.25 * ticks)
+        for _ in range(ticks):
+            many.debit("gps.fix", 0.25)
+        assert one.level_mwh == many.level_mwh
+        assert one.drain_report() == many.drain_report() or ticks == 0
+
+    def test_drains_and_reads_settle_first(self):
+        battery = Battery()
+        settled = []
+        battery.bind_settle(lambda: settled.append(battery._level_mwh))
+        battery.drain("radio", 1.0)
+        assert battery.level_mwh == 3_999.0
+        battery.drain_report()
+        assert settled == [4_000.0, 3_999.0, 3_999.0]

@@ -1,9 +1,19 @@
 """Tests for the GPS receiver and trajectory playback."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.device.gps import GpsReceiver, Trajectory, Waypoint, TOPIC_FIX, TOPIC_STATE
+from repro.device.gps import (
+    GAUSS_Z_MAX,
+    TOPIC_FIX,
+    TOPIC_STATE,
+    GpsReceiver,
+    Trajectory,
+    Waypoint,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.util.geo import GeoPoint, destination_point, interpolate
 
@@ -222,3 +232,159 @@ class TestGpsReceiver:
         receiver.set_trajectory(parked)
         scheduler.run_for(2_000.0)
         assert receiver.last_fix.point.distance_to_m(GeoPoint(50.0, 50.0)) < 100.0
+
+
+class _ConstantRandom(random.Random):
+    """A stream whose ``random()`` always returns ``value``."""
+
+    def __init__(self, value):
+        super().__init__(0)
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestNoiseBound:
+    """Skipped ticks are safe only if no fix strays past the noise bound."""
+
+    def test_gauss_is_bounded_by_its_extreme_uniform(self):
+        assert GAUSS_Z_MAX == pytest.approx(8.5717, abs=1e-4)
+        assert _ConstantRandom(0.0).gauss(0.0, 1.0) == 0.0
+        extreme = _ConstantRandom(1.0 - 2.0 ** -53).gauss(0.0, 1.0)
+        assert abs(extreme) <= GAUSS_Z_MAX
+        assert abs(extreme) == pytest.approx(GAUSS_Z_MAX)
+
+    @given(st.floats(min_value=0.0, max_value=1.0 - 2.0 ** -53))
+    def test_no_uniform_exceeds_it(self, value):
+        rng = _ConstantRandom(value)
+        assert abs(rng.gauss(0.0, 1.0)) <= GAUSS_Z_MAX
+        assert abs(rng.gauss(0.0, 1.0)) <= GAUSS_Z_MAX
+
+    def test_bound_covers_an_extreme_fix(self, scheduler, bus):
+        parked = Trajectory([Waypoint(0.0, GeoPoint(28.6, 77.2))])
+        receiver = GpsReceiver(scheduler, bus, parked, time_to_first_fix_ms=0.0)
+        receiver._rng = _ConstantRandom(1.0 - 2.0 ** -53)
+        receiver.power_on()
+        offset = receiver.last_fix.point.distance_to_m(receiver.ground_truth())
+        assert 0.99 * GAUSS_Z_MAX * 5.0 < offset <= receiver.noise_bound_m
+        assert receiver.noise_bound_m == pytest.approx(GAUSS_Z_MAX * 5.0 * 2 ** 0.5, rel=0.02)
+
+    def test_one_tick_of_noise_is_128_bits(self):
+        drawn, skipped = random.Random(7), random.Random(7)
+        for _ in range(3):
+            drawn.gauss(0.0, 5.0), drawn.gauss(0.0, 5.0)
+        skipped.getrandbits(3 * 128)
+        assert drawn.getstate() == skipped.getstate()
+
+
+class TestSpeedBound:
+    def test_dominates_a_long_diagonal_leg(self):
+        """Interpolation is linear in degrees: near the equator end of a
+        long diagonal leg the position moves faster than the leg's
+        haversine speed, and the bound still covers it."""
+        start, end = GeoPoint(0.0, 0.0), GeoPoint(60.0, 60.0)
+        trajectory = Trajectory([Waypoint(0.0, start), Waypoint(1_000_000.0, end)])
+        steps = [
+            trajectory.position_at(t_ms).distance_to_m(trajectory.position_at(t_ms + 1_000.0))
+            for t_ms in range(0, 1_000_000, 10_000)
+        ]
+        assert max(steps) > trajectory.speed_at(0.0) * 1.1
+        assert max(steps) <= trajectory.speed_bound_after(0.0)
+
+    def test_parked_path_has_no_speed(self):
+        trajectory = _line_trajectory()  # arrives at 10 s
+        assert trajectory.speed_bound_after(0.0) > 0.0
+        assert trajectory.speed_bound_after(10_000.0) == 0.0
+        assert Trajectory([Waypoint(0.0, GeoPoint(1.0, 1.0))]).speed_bound_after(0.0) == 0.0
+
+    def test_only_later_legs_count(self):
+        a = GeoPoint(0.0, 0.0)
+        b = destination_point(0.0, 0.0, 90.0, 10_000.0)
+        c = destination_point(b.latitude, b.longitude, 90.0, 100.0)
+        trajectory = Trajectory([Waypoint(0.0, a), Waypoint(10_000.0, b), Waypoint(20_000.0, c)])
+        assert trajectory.speed_bound_after(5_000.0) == pytest.approx(1_000.0, rel=0.01)
+        assert trajectory.speed_bound_after(10_000.0) == pytest.approx(10.0, rel=0.01)
+
+
+class TestVerdictHorizon:
+    def _receiver(self, scheduler, bus, trajectory):
+        return GpsReceiver(scheduler, bus, trajectory)
+
+    def test_distance_over_speed(self, scheduler, bus):
+        receiver = self._receiver(scheduler, bus, _line_trajectory())  # ~100 m/s east
+        centre = destination_point(0.0, 0.0, 0.0, 1_000.0)  # 1 km north
+        until = receiver.verdict_holds_until_ms(0.0, centre.latitude, centre.longitude, 200.0, False)
+        margin = 1_000.0 - 200.0 - receiver.noise_bound_m
+        speed = receiver._trajectory.speed_bound_after(0.0)
+        assert until == pytest.approx(margin / speed * 1_000.0)
+
+    def test_next_tick_near_the_boundary_or_on_the_wrong_side(self, scheduler, bus):
+        receiver = self._receiver(scheduler, bus, _line_trajectory())
+        near = destination_point(0.0, 0.0, 0.0, 230.0)
+        assert receiver.verdict_holds_until_ms(5.0, near.latitude, near.longitude, 200.0, False) == 5.0
+        far = destination_point(0.0, 0.0, 0.0, 1_000.0)
+        assert receiver.verdict_holds_until_ms(5.0, far.latitude, far.longitude, 200.0, True) == 5.0
+
+    def test_parked_receiver_never_needs_a_fix(self, scheduler, bus):
+        parked = Trajectory([Waypoint(0.0, GeoPoint(0.0, 0.0))])
+        receiver = self._receiver(scheduler, bus, parked)
+        far = destination_point(0.0, 0.0, 0.0, 1_000.0)
+        assert receiver.verdict_holds_until_ms(0.0, far.latitude, far.longitude, 200.0, False) == math.inf
+        assert receiver.verdict_holds_until_ms(0.0, 0.0, 0.0, 200.0, True) == math.inf
+
+
+class _Consumer:
+    def __init__(self, every_ms):
+        self.every_ms = every_ms
+        self.fixes = []
+
+    def on_fix(self, fix):
+        self.fixes.append(fix.timestamp_ms)
+
+    def next_fix_needed_ms(self, ref_ms):
+        return ref_ms + self.every_ms
+
+
+class TestDemand:
+    def _receiver(self, scheduler, bus):
+        return GpsReceiver(scheduler, bus, _line_trajectory(), time_to_first_fix_ms=0.0)
+
+    def test_delivers_only_the_ticks_a_consumer_needs(self, scheduler, bus):
+        receiver = self._receiver(scheduler, bus)
+        consumer = _Consumer(4_500.0)
+        receiver.attach(consumer)
+        receiver.power_on()
+        executed = scheduler.run_for(20_000.0)
+        assert consumer.fixes == [5_000.0, 10_000.0, 15_000.0, 20_000.0]
+        # Per needed fix, one wake at the need instant settles the ticks
+        # before it and one at the first tick after delivers it.
+        assert executed == 2 * len(consumer.fixes)
+
+    def test_no_consumer_no_wakes_yet_every_fix_readable(self, scheduler, bus):
+        receiver = self._receiver(scheduler, bus)
+        receiver.power_on()
+        assert scheduler.run_for(20_500.0) == 0
+        assert receiver.last_fix.timestamp_ms == 20_000.0
+
+    def test_a_bus_subscriber_needs_every_tick(self, scheduler, bus):
+        receiver = self._receiver(scheduler, bus)
+        receiver.power_on()
+        scheduler.run_for(2_500.0)  # ticks 0, 1 s and 2 s settle unseen
+        fixes = []
+        subscription = bus.subscribe(TOPIC_FIX, lambda topic, fix: fixes.append(fix.timestamp_ms))
+        scheduler.run_for(2_000.0)
+        subscription.unsubscribe()
+        scheduler.run_for(2_000.0)
+        assert fixes == [3_000.0, 4_000.0]
+
+    def test_a_gps_fault_rule_needs_every_tick(self, scheduler, bus):
+        from repro.faults import FaultInjector, FaultPlan, FaultRule
+
+        plan = FaultPlan(rules=(FaultRule("gps.fix", "lost", 0.5, start_ms=1e9),))
+        receiver = GpsReceiver(
+            scheduler, bus, _line_trajectory(), time_to_first_fix_ms=0.0,
+            injector=FaultInjector(plan, scheduler.clock),
+        )
+        receiver.power_on()
+        assert scheduler.run_for(4_500.0) == 5

@@ -35,6 +35,7 @@ REPO = HERE.parents[2]
 SCENARIOS = REPO / "tests" / "scenarios"
 MALFORMED = HERE / "malformed_trace.jsonl"
 NO_TRACE_ID = HERE / "no_trace_id.jsonl"
+BAD_ATTRIBUTE_VALUE = HERE / "bad_attribute_value.jsonl"
 
 TRACE_COMMANDS = (
     "profile", "slo", "timeline", "critical-path",
@@ -176,6 +177,53 @@ class TestOtherInputs:
         for command in TRACE_COMMANDS:
             if command != "health":
                 assert run(argv_for(command, NO_TRACE_ID))[0] == 0, command
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_non_numeric_lag_exits_2(self, command):
+        """A ``replicate:`` span's ``lag_ms`` is folded as a number; a
+        string there used to end in a ValueError traceback and exit 1,
+        the failed-gate code."""
+        result = run(argv_for(command, BAD_ATTRIBUTE_VALUE))
+        assert_input_error(result, BAD_ATTRIBUTE_VALUE, 2)
+        assert "attributes.lag_ms is a str, not a number" in result[2]
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("replicate:reports", "lag_ms", [1]),
+            ("replicate:reports", "lag_ms", True),
+            ("gossip:reports", "merges", "x"),
+            ("gossip:reports", "merges", {"n": 1}),
+            ("queue:post", "shard", "a"),
+            ("queue:post", "wait_ms", "x"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", ["causal", "distrib", "health", "timeline", "critical-path"]
+    )
+    def test_non_numeric_fold_attributes_exit_2(self, command, name, key, value, tmp_path):
+        record = {"span_id": 1, "trace_id": 1, "name": name, "attributes": {key: value}}
+        path = tmp_path / "attrs.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        result = run([command, str(path)])
+        assert_input_error(result, path, 1)
+        assert f"attributes.{key} is a {type(value).__name__}" in result[2]
+
+    @pytest.mark.parametrize("value", [None, 0, 2.5])
+    def test_numeric_fold_attributes_still_fold(self, value, tmp_path):
+        records = [
+            {"span_id": 1, "trace_id": 1, "name": "replicate:t",
+             "attributes": {"lag_ms": value}},
+            {"span_id": 2, "trace_id": 1, "name": "gossip:t",
+             "attributes": {"merges": value}},
+            {"span_id": 3, "trace_id": 1, "name": "queue:t",
+             "attributes": {"shard": 1, "wait_ms": value},
+             "start_virtual_ms": 0.0, "end_virtual_ms": 1.0},
+        ]
+        path = tmp_path / "attrs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        for command in ("causal", "distrib", "health", "timeline", "critical-path"):
+            assert run([command, str(path)])[0] == 0, command
 
     def test_unknown_scenario_exits_2(self):
         result = run(["scenario", "record", "no_such_flow"])
